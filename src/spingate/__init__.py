@@ -9,7 +9,7 @@ noise and amplitude damping.
 from .ansatz import AnsatzCircuit, GateOp, apply_circuit, build_hva, circuit_unitary
 from .cost import CostEvaluator, GradientStats
 from .errors import (ConfigError, DimMismatch, InvalidDepth, InvalidQubitCount,
-                     LengthMismatch, LineSearchFailure, NegativeAmplitude,
+                     LengthMismatch, NegativeAmplitude,
                      NoisyModeUnsupported, NotHermitian, NotUnitary,
                      NumericalFailure, OutOfRange, SpingateError, UnknownGate)
 from .hamiltonian import (HamiltonianSpec, PauliString, assemble,

@@ -14,6 +14,7 @@ parameters dimensionless angles with period 2*pi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,29 +89,44 @@ def build_hva(spec: HamiltonianSpec, m: int, t0: float = 1.0) -> AnsatzCircuit:
 
 def _check_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.q,):
+    if theta.ndim == 0 or theta.shape[-1] != circuit.q:
         raise LengthMismatch(f"expected {circuit.q} parameters, got shape {theta.shape}")
     return theta
 
 
-def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Per-term full-register factor matrices for one layer, shape (Q, 2^n, 2^n).
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
-    Each Pauli string squares to the identity, so the factor is
-    cos(a) I - i sin(a) P with a = theta_j * t0.
+
+def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
+    """Per-term full-register factor matrices for one layer.
+
+    theta of shape (..., Q) gives factors of shape (..., Q, 2^n, 2^n); the
+    leading axes index independent parameter vectors.  Each Pauli string
+    squares to the identity, so the factor is cos(a) I - i sin(a) P with
+    a = theta_j * t0.
     """
     theta = _check_theta(circuit, theta)
     a = theta * circuit.t0
     paulis = circuit.spec.matrices()
-    d = 2 ** circuit.n
-    eye = np.eye(d)
-    return (np.cos(a)[:, None, None] * eye
-            - 1j * np.sin(a)[:, None, None] * paulis)
+    eye = _identity(2 ** circuit.n)
+    return (np.cos(a)[..., None, None] * eye
+            - 1j * np.sin(a)[..., None, None] * paulis)
 
 
 def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Ordered product of one layer's factors (term 1 applied first)."""
+    """Ordered product of one layer's factors (term 1 applied first).
+
+    theta of shape (..., Q) gives (..., 2^n, 2^n).  Stacked products run
+    the same per-matrix multiplication as a single vector's, so each slice
+    equals the unstacked result bit for bit.
+    """
     gs = gate_matrices(circuit, theta)
+    if gs.ndim > 3:  # a single vector's factors already lead with the term axis
+        gs = np.moveaxis(gs, -3, 0)
     u = gs[0]
     for g in gs[1:]:
         u = g @ u
@@ -118,7 +134,10 @@ def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
 
 
 def circuit_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Dense unitary of the whole circuit: the layer unitary raised to m."""
+    """Dense unitary of the whole circuit: the layer unitary raised to m.
+
+    Broadcasts like layer_unitary: (..., Q) gives (..., 2^n, 2^n).
+    """
     ul = layer_unitary(circuit, theta)
     u = ul
     for _ in range(circuit.m - 1):

@@ -10,6 +10,10 @@ target.  Three evaluation modes share this definition:
 
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
+A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
+`costs` evaluates a stack of vectors; in exact-trace mode it runs the same
+broadcasting kernel as `cost` over chunks of rows, and every row's cost
+equals the single-vector cost bit for bit.
 
 Gradients exist for the noiseless modes only: a central finite difference
 (2Q cost calls) and an adjoint-style sweep that uses the shared layer:
@@ -25,7 +29,8 @@ import numpy as np
 
 from .ansatz import (AnsatzCircuit, circuit_unitary, gate_matrices,
                      layer_unitary)
-from .errors import DimMismatch, LengthMismatch, NoisyModeUnsupported
+from .errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
+                     NumericalFailure)
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
 from .simulator import (NoisyCircuitPlan, bell_prep_state,
@@ -35,6 +40,9 @@ from .targets import TargetGate
 MODES = ("exact-trace", "hs-test-statevector", "hs-test-density")
 
 CENTRAL_DIFF_STEP = 1e-6
+# rows per stacked exact-trace evaluation: bounds the (rows, Q, d, d)
+# factor stack that `costs` holds at once
+COST_CHUNK_ROWS = 16
 
 
 @dataclass
@@ -132,11 +140,14 @@ class CostEvaluator:
     def noisy(self) -> bool:
         return self.mode == "hs-test-density"
 
-    def _check(self, theta: np.ndarray) -> np.ndarray:
+    def _check(self, theta: np.ndarray, ndim: int = 1) -> np.ndarray:
+        """Wrapped float copy of one vector (ndim 1) or a (B, Q) stack (ndim 2)."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.circuit.q,):
+        if theta.ndim != ndim or theta.shape[-1] != self.circuit.q:
             raise LengthMismatch(
                 f"expected {self.circuit.q} parameters, got shape {theta.shape}")
+        if not np.isfinite(theta).all():
+            raise NumericalFailure("parameter vector holds NaN or infinity")
         return wrap_angles(theta)
 
     def cost(self, theta: np.ndarray) -> float:
@@ -150,6 +161,24 @@ class CostEvaluator:
         if self.mode == "hs-test-statevector":
             return 1.0 - hs_test_probability(self.circuit, theta, self.target)
         return self._density_cost_fast(theta)
+
+    def costs(self, thetas: np.ndarray) -> np.ndarray:
+        """Costs of a (B, Q) stack, row r equal to cost(thetas[r]) bit for bit.
+
+        Exact-trace mode evaluates COST_CHUNK_ROWS rows per broadcast
+        kernel call; the other modes call `cost` row by row.  eval_count
+        grows by B either way.
+        """
+        thetas = self._check(thetas, ndim=2)
+        if self.mode != "exact-trace":
+            return np.array([self.cost(row) for row in thetas], dtype=float)
+        with self._lock:
+            self.eval_count += len(thetas)
+        out = np.empty(len(thetas))
+        for start in range(0, len(thetas), COST_CHUNK_ROWS):
+            u = circuit_unitary(self.circuit, thetas[start:start + COST_CHUNK_ROWS])
+            out[start:start + COST_CHUNK_ROWS] = 1.0 - hs_overlap(u, self.target.matrix)
+        return out
 
     def fidelity(self, theta: np.ndarray) -> float:
         return 1.0 - self.cost(theta)

@@ -45,10 +45,6 @@ class NoisyModeUnsupported(SpingateError, RuntimeError):
     """Analytic gradients are only defined for noiseless cost modes."""
 
 
-class LineSearchFailure(SpingateError, RuntimeError):
-    """Backtracking line search could not find an acceptable step."""
-
-
 class ConfigError(SpingateError, ValueError):
     """Malformed or unknown experiment configuration."""
 

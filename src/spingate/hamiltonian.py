@@ -139,7 +139,7 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     idempotent.
     """
     theta = np.asarray(theta, dtype=float)
-    return theta - TAU * np.round(theta / TAU)
+    return theta - TAU * np.rint(theta / TAU)
 
 
 def format_parameters(spec: HamiltonianSpec, theta: np.ndarray) -> str:

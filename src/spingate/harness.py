@@ -32,7 +32,8 @@ from .ansatz import build_hva
 from .cost import CostEvaluator
 from .errors import ConfigError
 from .hamiltonian import format_parameters, heisenberg_spec
-from .noise import DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, robustness_sweep
+from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_grid,
+                    robustness_sweep)
 from .optimize import (InitScheme, OptimizerConfig, RestartSummary,
                        multi_restart, nelder_mead_minimize)
 from .seeding import derive_rng, derive_subseed
@@ -94,6 +95,10 @@ class ExperimentConfig:
             raise ConfigError("warm_sigma must be >= 0")
         if any(p < 0 or p > 1 for p in self.damping_grid):
             raise ConfigError("damping grid values must lie in [0, 1]")
+        try:
+            check_delta_grid(self.noise_grid)
+        except ValueError as exc:
+            raise ConfigError(f"noise grid: {exc}") from exc
         # restart draws must follow the master seed; init.seed is not an
         # independent config surface
         if self.init.seed != self.master_seed:
@@ -312,7 +317,7 @@ def _trajectory_rows(summary: RestartSummary, labels: list[str]) -> list[list]:
     return rows
 
 
-def _compile_summary(cfg: ExperimentConfig, m: int, evaluator: CostEvaluator) -> RestartSummary:
+def _compile_summary(cfg: ExperimentConfig, evaluator: CostEvaluator) -> RestartSummary:
     return multi_restart(evaluator, cfg.init, cfg.optimizer)
 
 
@@ -323,7 +328,7 @@ def run_compile(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord
     m = cfg.single_m
     circuit = build_hva(spec, m)
     evaluator = CostEvaluator(circuit, target, mode="exact-trace")
-    summary = _compile_summary(cfg, m, evaluator)
+    summary = _compile_summary(cfg, evaluator)
     best = summary.traces[summary.best_index]
 
     run_dir = run_dir or _fresh_run_dir(cfg)
@@ -370,7 +375,7 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     for m in depths:
         circuit = build_hva(spec, m)
         evaluator = CostEvaluator(circuit, target, mode="exact-trace")
-        summary = _compile_summary(cfg, m, evaluator)
+        summary = _compile_summary(cfg, evaluator)
         finals = np.array([t.final_cost for t in summary.traces])
         fid = 1.0 - finals
         conv = np.array([t.converged for t in summary.traces])
@@ -406,7 +411,7 @@ def run_coherent_noise_sweep(cfg: ExperimentConfig,
     m = cfg.single_m
     circuit = build_hva(spec, m)
     evaluator = CostEvaluator(circuit, target, mode="exact-trace")
-    summary = _compile_summary(cfg, m, evaluator)
+    summary = _compile_summary(cfg, evaluator)
     theta_star = summary.traces[summary.best_index].final_theta
 
     rows = []
@@ -474,7 +479,7 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     circuit = build_hva(spec, m)
 
     noiseless = CostEvaluator(circuit, target, mode="exact-trace")
-    compile_summary = _compile_summary(cfg, m, noiseless)
+    compile_summary = _compile_summary(cfg, noiseless)
     theta_star = compile_summary.traces[compile_summary.best_index].final_theta
 
     nm_cfg = OptimizerConfig(

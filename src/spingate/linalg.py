@@ -30,8 +30,8 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
@@ -58,15 +58,22 @@ def hermitian_expm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * scale * w)) @ dagger(v)
 
 
-def hs_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """Normalized Hilbert-Schmidt overlap |Tr(V^dag U)|^2 / d^2 in [0, 1]."""
+def hs_overlap(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Normalized Hilbert-Schmidt overlap |Tr(V^dag U)|^2 / d^2 in [0, 1].
+
+    Broadcasts over leading axes: u and v are (..., d, d), and the result
+    is a float for two matrices or an array of the broadcast leading shape.
+    """
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if (u.ndim < 2 or v.ndim < 2 or u.shape[-2:] != v.shape[-2:]
+            or u.shape[-1] != u.shape[-2]):
         raise DimMismatch(f"incompatible shapes {u.shape} and {v.shape}")
-    d = u.shape[0]
-    t = np.trace(dagger(v) @ u)
+    d = u.shape[-1]
+    t = np.trace(dagger(v) @ u, axis1=-2, axis2=-1)
     val = (t.real * t.real + t.imag * t.imag) / (d * d)
+    if val.ndim:
+        return np.clip(val, 0.0, 1.0)
     return float(min(max(val, 0.0), 1.0))
 
 

@@ -58,6 +58,38 @@ class CoherentNoise:
         return spec.local_indices("Z")
 
 
+def check_delta_grid(delta_grid) -> np.ndarray:
+    """The grid as a float array.
+
+    Raises ValueError unless the grid is non-empty, non-negative and
+    strictly ascending; a NaN entry fails the test.
+    """
+    grid = np.asarray(delta_grid, dtype=float)
+    if grid.size == 0 or not (np.all(grid >= 0.0) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("delta grid must be non-negative and strictly ascending")
+    return grid
+
+
+def _shifted_stack(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpec,
+                   realizations) -> np.ndarray:
+    """One row per realization: theta with that realization's shift added.
+
+    Deterministic mode shifts by noise.delta; sampled mode draws one
+    u ~ Uniform[0, delta] per realization r from (noise.seed, r).  A zero
+    amplitude leaves every row a bit-identical copy of theta.
+    """
+    stack = np.tile(np.asarray(theta, dtype=float), (len(realizations), 1))
+    if noise.delta == 0.0:
+        return stack
+    if noise.mode == "deterministic-shift":
+        shifts = np.full(len(realizations), noise.delta)
+    else:
+        shifts = np.array([derive_rng(noise.seed, r).uniform(0.0, noise.delta)
+                           for r in realizations])
+    stack[:, noise.affected_indices(spec)] += shifts[:, None]
+    return stack
+
+
 def perturb(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpec,
             realization: int = 0) -> np.ndarray:
     """Shifted copy of theta; unaffected coordinates are bit-identical.
@@ -65,18 +97,7 @@ def perturb(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpec,
     Deterministic mode adds noise.delta; sampled mode adds one shared
     u ~ Uniform[0, delta] drawn from (noise.seed, realization).
     """
-    theta = np.asarray(theta, dtype=float)
-    out = theta.copy()
-    if noise.delta == 0.0:
-        return out
-    if noise.mode == "deterministic-shift":
-        shift = noise.delta
-    else:
-        rng = derive_rng(noise.seed, realization)
-        shift = rng.uniform(0.0, noise.delta)
-    idx = noise.affected_indices(spec)
-    out[idx] += shift
-    return out
+    return _shifted_stack(theta, noise, spec, [realization])[0]
 
 
 def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
@@ -87,26 +108,20 @@ def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
     Returns one row per grid point: {delta, mean_fidelity, std_fidelity,
     samples}.  Deterministic mode needs a single evaluation per point;
     sampled mode averages `samples` realizations with per-point derived
-    seeds.  The grid must be non-negative and strictly ascending.
+    seeds.  Each point's realizations are evaluated as one stack.  The
+    grid must be non-negative and strictly ascending.
     """
-    grid = np.asarray(delta_grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("delta grid must be non-negative and strictly ascending")
+    grid = check_delta_grid(delta_grid)
     spec = evaluator.circuit.spec
     rows = []
     for gi, delta in enumerate(grid):
         noise = CoherentNoise(kind=kind, delta=float(delta), mode=mode,
                               samples=samples, seed=derive_subseed(seed, gi))
-        if mode == "deterministic-shift" or delta == 0.0:
-            f = 1.0 - evaluator.cost(perturb(theta_star, noise, spec))
-            rows.append({"delta": float(delta), "mean_fidelity": f,
-                         "std_fidelity": 0.0, "samples": 1})
-        else:
-            fids = np.empty(samples)
-            for r in range(samples):
-                fids[r] = 1.0 - evaluator.cost(perturb(theta_star, noise, spec, r))
-            rows.append({"delta": float(delta),
-                         "mean_fidelity": float(fids.mean()),
-                         "std_fidelity": float(fids.std()),
-                         "samples": samples})
+        sampled = mode == "uniform-sample" and delta > 0.0
+        stack = _shifted_stack(theta_star, noise, spec, range(samples if sampled else 1))
+        fids = 1.0 - evaluator.costs(stack)
+        rows.append({"delta": float(delta),
+                     "mean_fidelity": float(fids.mean()),
+                     "std_fidelity": float(fids.std()),
+                     "samples": len(fids)})
     return rows

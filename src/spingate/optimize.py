@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .hamiltonian import wrap_angles
 from .seeding import derive_rng
 
@@ -55,6 +56,11 @@ class InitScheme:
     clip: tuple[float, float] = (-1.0, 1.0)
     seed: int = 0
 
+    def __post_init__(self):
+        lo, hi = self.clip
+        if not lo <= hi:
+            raise ConfigError(f"init clip interval is inverted or NaN: {self.clip!r}")
+
     def sample(self, rng: np.random.Generator, q: int) -> np.ndarray:
         lo, hi = self.clip
         return np.clip(rng.normal(self.mean, self.sigma, q), lo, hi)
@@ -76,7 +82,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.algorithm not in DEFAULT_MAX_ITERS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.restarts < 1 or self.history_size < 1:
+            raise ConfigError("restarts and history_size must be at least 1")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        for name in ("cost_tolerance", "gradient_tolerance", "spread_tolerance"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def resolved_max_iters(self) -> int:

@@ -121,3 +121,20 @@ def test_zero_parameters_give_identity(spec3):
     c = build_hva(spec3, 6)
     u = circuit_unitary(c, np.zeros(15))
     assert np.max(np.abs(u - np.eye(8))) < 1e-14
+
+
+def test_stacked_parameters_broadcast(spec3, rng):
+    # leading axes index independent vectors; each slice equals its own
+    # single-vector result bit for bit
+    c = build_hva(spec3, 3)
+    stack = rng.uniform(-4.0, 4.0, size=(2, 3, 15))
+    gs = gate_matrices(c, stack)
+    ls = layer_unitary(c, stack)
+    us = circuit_unitary(c, stack)
+    assert gs.shape == (2, 3, 15, 8, 8)
+    assert ls.shape == us.shape == (2, 3, 8, 8)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(gs[i, j], gate_matrices(c, stack[i, j]))
+            assert np.array_equal(ls[i, j], layer_unitary(c, stack[i, j]))
+            assert np.array_equal(us[i, j], circuit_unitary(c, stack[i, j]))

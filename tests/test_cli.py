@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from spingate import cli
 from spingate.cli import main
+from spingate.errors import NumericalFailure
 
 
 def find_record(out_dir):
@@ -126,3 +128,55 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"]])
+def test_bad_restarts_flag_exits_2(tmp_path, capsys, flags):
+    assert main(["compile", "--m", "1", "--out", str(tmp_path), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [
+    "history_size = 0\n",
+    "cost_tolerance = -1e-4\n",
+    "gradient_tolerance = -1\n",
+    "spread_tolerance = -1\n",
+])
+def test_bad_optimizer_values_exit_2(tmp_path, capsys, extra):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text().replace("restarts = 1\n", "restarts = 1\n" + extra))
+    assert main(["compile", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_zero_max_iters_exits_2(tmp_path, capsys):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text().replace("max_iters = 6", "max_iters = 0"))
+    assert main(["compile", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_inverted_init_clip_exits_2(tmp_path, capsys):
+    ini = write_tiny_ini(tmp_path / "exp.ini", extra="[init]\nclip_low = 1\nclip_high = -1\n")
+    assert main(["compile", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def failing_run(cfg):
+        raise NumericalFailure("parameter vector holds NaN or infinity")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    assert main(["compile", "--m", "1", "--restarts", "1", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0.1, 0.05", "-0.1, 0.0", "0, 0.05, 0.05"])
+def test_bad_noise_grid_exits_2_before_compiling(tmp_path, capsys, grid):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text().replace("grid = 0, 0.05", f"grid = {grid}"))
+    out = tmp_path / "out"
+    assert main(["noise-sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert "noise grid" in capsys.readouterr().err
+    assert not out.exists()

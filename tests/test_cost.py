@@ -1,11 +1,16 @@
 """Cost definition, route agreement, and gradients."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spingate.ansatz import build_hva, circuit_unitary
-from spingate.cost import CostEvaluator
-from spingate.errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported)
+from spingate.cost import COST_CHUNK_ROWS, CostEvaluator
+from spingate.errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
+                             NumericalFailure)
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger
 from spingate.optimize import InitScheme
@@ -174,3 +179,79 @@ def test_cost_against_raw_trace(spec3, rng):
     u = circuit_unitary(ev.circuit, theta)
     t = np.trace(dagger(target.matrix) @ u)
     assert abs(ev.cost(theta) - (1.0 - abs(t) ** 2 / 64.0)) < 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_evaluator(target_name, m):
+    target = toffoli() if target_name == "toffoli" else fredkin()
+    return CostEvaluator(build_hva(heisenberg_spec(3), m), target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(target_name=st.sampled_from(["toffoli", "fredkin"]),
+       m=st.sampled_from([1, 6, 12]),
+       rows=st.integers(min_value=1, max_value=40),
+       scale=st.sampled_from([1.0, np.pi, 30.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1)
+@example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2)
+def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, seed):
+    # rows up to 40 cross the chunk edges; |angles| up to 30 exercise wrapping
+    ev = _stack_evaluator(target_name, m)
+    stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
+    single = np.array([ev.cost(row) for row in stack])
+    assert np.array_equal(ev.costs(stack), single)
+
+
+def test_costs_other_modes_follow_cost(spec3, rng):
+    stack = rng.normal(size=(3, 15))
+    sv = make_eval(spec3, mode="hs-test-statevector")
+    assert np.array_equal(sv.costs(stack), [sv.cost(row) for row in stack])
+    plan = NoisyCircuitPlan(build_hva(spec3, 2), amplitude_damping(0.05))
+    dens = make_eval(spec3, mode="hs-test-density", plan=plan)
+    assert np.array_equal(dens.costs(stack), [dens.cost(row) for row in stack])
+
+
+def test_costs_eval_count_grows_by_rows(spec3, rng):
+    for mode in ("exact-trace", "hs-test-statevector"):
+        ev = make_eval(spec3, mode=mode)
+        ev.costs(rng.normal(size=(37, 15)))
+        assert ev.eval_count == 37
+        ev.cost(rng.normal(size=15))
+        assert ev.eval_count == 38
+
+
+def test_costs_rejects_wrong_shapes(spec3):
+    ev = make_eval(spec3)
+    for bad in (np.zeros(15), np.zeros((4, 14)), np.zeros((2, 3, 15)), np.float64(0.0)):
+        with pytest.raises(LengthMismatch):
+            ev.costs(bad)
+    assert ev.eval_count == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cost_rejects_non_finite_parameters(spec3, bad):
+    ev = make_eval(spec3)
+    theta = np.zeros(15)
+    theta[3] = bad
+    with pytest.raises(NumericalFailure):
+        ev.cost(theta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_costs_rejects_non_finite_parameters(spec3, bad):
+    ev = make_eval(spec3)
+    stack = np.zeros((20, 15))
+    stack[17, 3] = bad
+    with pytest.raises(NumericalFailure):
+        ev.costs(stack)
+
+
+@pytest.mark.parametrize("method", ["adjoint", "central-diff"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gradient_rejects_non_finite_parameters(spec3, method, bad):
+    ev = make_eval(spec3)
+    theta = np.zeros(15)
+    theta[3] = bad
+    with pytest.raises(NumericalFailure):
+        ev.gradient(theta, method=method)

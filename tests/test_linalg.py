@@ -114,3 +114,16 @@ def test_random_matrices(rng):
     assert np.max(np.abs(h - dagger(h))) < 1e-14
     u = random_unitary(6, rng)
     assert is_unitary(u, 1e-10)
+
+
+def test_hs_overlap_broadcasts_over_leading_axes(rng):
+    us = np.stack([random_unitary(8, rng) for _ in range(5)])
+    v = random_unitary(8, rng)
+    vals = hs_overlap(us, v)
+    assert vals.shape == (5,)
+    for u, val in zip(us, vals):
+        assert val == hs_overlap(u, v)
+    with pytest.raises(DimMismatch):
+        hs_overlap(us, np.eye(4))
+    with pytest.raises(DimMismatch):
+        hs_overlap(np.zeros((5, 8, 4)), np.zeros((8, 4)))

@@ -8,7 +8,8 @@ from spingate.cost import CostEvaluator
 from spingate.errors import NegativeAmplitude
 from spingate.noise import (DEFAULT_DELTA_GRID, CoherentNoise, perturb,
                             robustness_sweep)
-from spingate.targets import toffoli
+from spingate.seeding import derive_subseed
+from spingate.targets import fredkin, toffoli
 
 
 def test_charge_hits_couplings_only(spec3, rng):
@@ -105,3 +106,45 @@ def test_robustness_sweep_grid_validation(cheap_eval):
         robustness_sweep(cheap_eval, theta, "charge", [-0.1, 0.0])
     with pytest.raises(ValueError):
         robustness_sweep(cheap_eval, theta, "charge", [])
+    with pytest.raises(ValueError):
+        robustness_sweep(cheap_eval, theta, "charge", [0.0, np.nan])
+
+
+def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples, seed):
+    """Reference: one perturb and one cost call per realization."""
+    spec = evaluator.circuit.spec
+    rows = []
+    for gi, delta in enumerate(np.asarray(delta_grid, dtype=float)):
+        noise = CoherentNoise(kind=kind, delta=float(delta), mode=mode,
+                              samples=samples, seed=derive_subseed(seed, gi))
+        if mode == "deterministic-shift" or delta == 0.0:
+            f = 1.0 - evaluator.cost(perturb(theta_star, noise, spec))
+            rows.append({"delta": float(delta), "mean_fidelity": f,
+                         "std_fidelity": 0.0, "samples": 1})
+        else:
+            fids = np.empty(samples)
+            for r in range(samples):
+                fids[r] = 1.0 - evaluator.cost(perturb(theta_star, noise, spec, r))
+            rows.append({"delta": float(delta),
+                         "mean_fidelity": float(fids.mean()),
+                         "std_fidelity": float(fids.std()),
+                         "samples": samples})
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["uniform-sample", "deterministic-shift"])
+@pytest.mark.parametrize("kind", ["charge", "nuclear"])
+def test_stacked_sweep_equals_per_realization_loop(spec3, rng, kind, mode):
+    ev = CostEvaluator(build_hva(spec3, 5), fredkin())
+    theta = rng.uniform(-np.pi, np.pi, size=15)
+    grid = DEFAULT_DELTA_GRID[::4]
+    stacked = robustness_sweep(ev, theta, kind, grid, mode=mode, samples=37, seed=10)
+    looped = per_realization_sweep(ev, theta, kind, grid, mode, 37, seed=10)
+    assert stacked == looped  # exact float equality in every field
+
+
+def test_sweep_counts_every_realization(cheap_eval, rng):
+    before = cheap_eval.eval_count
+    robustness_sweep(cheap_eval, rng.normal(size=15), "charge", [0.0, 0.05, 0.1],
+                     mode="uniform-sample", samples=20, seed=2)
+    assert cheap_eval.eval_count - before == 1 + 20 + 20

@@ -5,6 +5,7 @@ import pytest
 
 from spingate.ansatz import build_hva
 from spingate.cost import CostEvaluator
+from spingate.errors import ConfigError
 from spingate.hamiltonian import heisenberg_spec
 from spingate.optimize import (InitScheme, OptimizerConfig, RestartSummary,
                                lbfgs_minimize, multi_restart,
@@ -185,9 +186,20 @@ def test_nelder_mead_cost_never_increases():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(algorithm="adam")
+    for bad in (dict(restarts=0), dict(history_size=0), dict(max_iters=0),
+                dict(cost_tolerance=-1e-4), dict(gradient_tolerance=-1.0),
+                dict(spread_tolerance=float("nan"))):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(**bad)
     assert OptimizerConfig().resolved_max_iters == 200
     assert OptimizerConfig(algorithm="nelder-mead").resolved_max_iters == 2000
     assert OptimizerConfig(max_iters=17).resolved_max_iters == 17
+
+
+def test_init_scheme_rejects_inverted_clip():
+    with pytest.raises(ConfigError):
+        InitScheme(clip=(1.0, -1.0))
+    assert InitScheme(clip=(0.5, 0.5)).sample(np.random.default_rng(0), 3).tolist() == [0.5] * 3
 
 
 def test_init_scheme_clipping_and_reproducibility():
