@@ -6,7 +6,17 @@ target.  Three evaluation modes share this definition:
 
 * "exact-trace"          direct trace of the dense circuit unitary;
 * "hs-test-statevector"  the literal two-register overlap-test circuit;
-* "hs-test-density"      the density-matrix route with a noise plan.
+* "hs-test-density"      the overlap test under a noise plan.
+
+The density mode evaluates the overlap-test probability as an entanglement
+fidelity, p = Tr((V (x) conj V)^dag K_total) / d^2, with K_total the noisy
+circuit's superoperator on row-major vec(rho).  A noisy step with unitary u
+is the Kraus sum sum_k (A_k u) (x) conj(A_k u) over the plan's register
+Kraus operators A_k.  Kraus maps preserve Hermiticity, so in a fixed real
+basis of Hermitian matrices each step is a real d^2 x d^2 matrix: step(L)^m
+after each layer, (step(G_(Q-1)) ... step(G_0))^m after each gate and
+step(L^m) for final-only.  The literal density evolution in the simulator
+module is its test oracle.
 
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
@@ -33,8 +43,7 @@ from .errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
                      NumericalFailure)
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
-from .simulator import (NoisyCircuitPlan, bell_prep_state,
-                        hs_test_probability, readout_vector)
+from .simulator import NoisyCircuitPlan, hs_test_probability
 from .targets import TargetGate
 
 MODES = ("exact-trace", "hs-test-statevector", "hs-test-density")
@@ -73,67 +82,56 @@ class CostEvaluator:
         self._dim = 2 ** self.circuit.n
 
     def _prepare_density_fastpath(self):
-        """Fixed pieces of the density route, in system-superoperator layout.
+        """Kraus stack, Hermitian-basis gather and readout of the density mode.
 
-        The mirror register of the overlap test is untouched between
-        preparation and readout, so the noisy circuit acts as a linear map
-        on the system (row, col) index pair alone.  Reordering the Bell
-        density matrix to (system pair, mirror pair) turns each layer into
-        one 64x64 matrix product; the readout probability collapses to a
-        fixed trace against the evolved map.  Tests pin this route to the
-        literal density evolution in the simulator module.
+        The basis is E_aa, (E_ab + E_ba)/sqrt(2), i(E_ab - E_ba)/sqrt(2) for
+        a < b: columns B[:, s] = c_s e_(a b) + conj(c_s) e_(b a) of a unitary
+        B.  For a Kraus map K, rows (b a) of K B conjugate rows (a b), so
+        R = B^dag K B has R[s, t] = Re(2 conj(c_s) (c_t K[(a b), (e f)] +
+        conj(c_t) K[(a b), (f e)])) for s ~ (a, b), t ~ (e, f).  Each weight
+        is real or imaginary: each term reads one float of the interleaved
+        (real, imag) matmul in `_real_superop`, which holds K[(a b), (e f)]
+        = sum_k E_k[a, e] conj(E_k[b, f]) at [(a e), (b f)].  The readout
+        (V (x) conj V)^dag is the map of the one Kraus operator V^dag.
         """
-        n = self.circuit.n
-        d = 2 ** n
-        d2 = d * d
+        d = 2 ** self.circuit.n
+        a, b = np.triu_indices(d, 1)
+        lo, hi = (np.concatenate([np.arange(d), x, x]) for x in (a, b))
+        r2 = np.sqrt(0.5)
+        c = np.concatenate([np.full(d, 0.5), np.full(len(a), r2), np.full(len(a), 1j * r2)])
+        weight = 2.0 * c.conj()[None, :, None] * np.stack([c, c.conj()])[:, None, :]
+        flat = np.stack([(lo[:, None] * d + e[None, :]) * d * d + hi[:, None] * d + f[None, :]
+                         for e, f in ((lo, hi), (hi, lo))])
+        imag = weight.imag != 0
+        self._gather_index = 2 * flat + imag
+        self._gather_weight = np.where(imag, -weight.imag, weight.real)
+        self._kraus = self.plan.register_kraus()
+        v_dag = self.target.matrix.conj().T
+        self._readout = np.ascontiguousarray(self._real_superop(v_dag[None]).T) / (d * d)
 
-        def pair_layout(mat_d2: np.ndarray) -> np.ndarray:
-            # (row index, col index) -> (system pair, mirror pair)
-            return mat_d2.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    def _real_superop(self, ops: np.ndarray) -> np.ndarray:
+        """Real basis matrix of rho -> sum_k E_k rho E_k^dag for a (K, d, d) stack."""
+        x = ops.reshape(len(ops), -1)
+        prod = x.T @ x.conj()
+        terms = np.take(prod.reshape(-1).view(float), self._gather_index)
+        terms *= self._gather_weight
+        return terms.sum(axis=0)
 
-        u = bell_prep_state(n)
-        self._rho0_pair = pair_layout(np.outer(u, u.conj()))
-        w = readout_vector(self.target)
-        x = pair_layout(np.outer(w.conj(), w))
-        self._readout_pair = self._rho0_pair @ x.T
-        # channel superoperator on the system pair index, bit order
-        # (r_1..r_n, c_1..c_n)
-        qubits = set(self.plan.target_qubits)
-        eye4 = np.eye(4, dtype=complex)
-        s_full = None
-        for q in range(1, n + 1):
-            s4 = self.plan.channel.superop4 if q in qubits else eye4
-            s_full = s4 if s_full is None else np.kron(s_full, s4)
-        # reorder bits from (r1 c1 r2 c2 ...) to (r1..rn c1..cn)
-        old_positions = [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]
-        nbits = 2 * n
-        perm = np.empty(d2, dtype=int)
-        for idx in range(d2):
-            bits = [(idx >> (nbits - 1 - k)) & 1 for k in range(nbits)]
-            old_idx = 0
-            for k in range(nbits):
-                old_idx |= bits[k] << (nbits - 1 - old_positions[k])
-            perm[idx] = old_idx
-        self._channel_pair = np.ascontiguousarray(s_full[np.ix_(perm, perm)])
-
-    def _density_cost_fast(self, theta: np.ndarray) -> float:
-        circuit = self.circuit
-        ul = layer_unitary(circuit, theta)
-        s_full = self._channel_pair
-        placement = self.plan.placement
-        if placement == "after-each-gate":
-            k = None
-            for g in gate_matrices(circuit, theta):
-                step = s_full @ np.kron(g, g.conj())
-                k = step if k is None else step @ k
-        elif placement == "after-each-layer":
-            k = s_full @ np.kron(ul, ul.conj())
-        else:  # final-only
-            k = np.kron(ul, ul.conj())
-        total = np.linalg.matrix_power(k, circuit.m)
+    def _density_cost(self, theta: np.ndarray) -> float:
+        circuit, placement, kraus = self.circuit, self.plan.placement, self._kraus
         if placement == "final-only":
-            total = s_full @ total
-        p = np.einsum("ij,ji->", self._readout_pair, total).real
+            total = self._real_superop(kraus @ circuit_unitary(circuit, theta))
+        elif placement == "after-each-layer":
+            step = self._real_superop(kraus @ layer_unitary(circuit, theta))
+            total = np.linalg.matrix_power(step, circuit.m)
+        else:
+            # one gate at a time: a stack of all Q steps falls out of cache
+            gates = gate_matrices(circuit, theta)
+            step = self._real_superop(kraus @ gates[0])
+            for g in gates[1:]:
+                step = self._real_superop(kraus @ g) @ step
+            total = np.linalg.matrix_power(step, circuit.m)
+        p = np.vdot(self._readout, total)
         return 1.0 - float(min(max(p, 0.0), 1.0))
 
     @property
@@ -160,7 +158,7 @@ class CostEvaluator:
             return 1.0 - hs_overlap(u, self.target.matrix)
         if self.mode == "hs-test-statevector":
             return 1.0 - hs_test_probability(self.circuit, theta, self.target)
-        return self._density_cost_fast(theta)
+        return self._density_cost(theta)
 
     def costs(self, thetas: np.ndarray) -> np.ndarray:
         """Costs of a (B, Q) stack, row r equal to cost(thetas[r]) bit for bit.

@@ -47,6 +47,9 @@ EXPERIMENT_KINDS = ("compile", "trotter-sweep", "coherent-noise-sweep",
 
 DEFAULT_MASTER_SEED = 10
 DEFAULT_DAMPING_GRID = (0.0, 0.005, 0.01, 0.015, 0.02)
+# longest grid a start:stop:step spec may expand to; a larger count is a
+# typo, and expanding it first could exhaust memory
+MAX_GRID_POINTS = 10_000
 
 # Four independent stream labels keep the restart draws, the noise
 # realizations, the damping warm kicks, and the grad-stats inits from
@@ -91,9 +94,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown noise kind {k!r}")
         if self.noise_samples < 1 or self.grad_samples < 1 or self.damping_restarts < 1:
             raise ConfigError("sample and restart counts must be positive")
-        if self.warm_sigma < 0:
-            raise ConfigError("warm_sigma must be >= 0")
-        if any(p < 0 or p > 1 for p in self.damping_grid):
+        if not 0 <= self.warm_sigma < np.inf:
+            raise ConfigError(f"warm_sigma must be finite and >= 0, got {self.warm_sigma!r}")
+        if not all(0 <= p <= 1 for p in self.damping_grid):
             raise ConfigError("damping grid values must lie in [0, 1]")
         try:
             check_delta_grid(self.noise_grid)
@@ -138,14 +141,22 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in text.split(":"))
         except ValueError as exc:
             raise ConfigError(f"bad grid spec {text!r}") from exc
-        if step <= 0 or stop < start:
+        if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
             raise ConfigError(f"bad grid spec {text!r}")
-        n = int(round((stop - start) / step))
-        return tuple(np.round(start + step * np.arange(n + 1), 12).tolist())
+        intervals = (stop - start) / step  # may overflow to inf
+        if not intervals < MAX_GRID_POINTS:
+            raise ConfigError(f"grid spec {text!r} has more than {MAX_GRID_POINTS} points")
+        grid = np.round(start + step * np.arange(round(intervals) + 1), 12)
+        if np.any(np.diff(grid) <= 0):
+            raise ConfigError(f"grid spec {text!r}: points closer than 1e-12 merge")
+        return tuple(grid.tolist())
     try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
+        values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad float list {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise ConfigError(f"float list {text!r} holds NaN or infinity")
+    return values
 
 
 def _get(parser, section, key, cast, default):
@@ -273,6 +284,20 @@ def _fresh_run_dir(cfg: ExperimentConfig) -> Path:
     raise RuntimeError("could not allocate a fresh run directory")
 
 
+def _write_record(cfg: ExperimentConfig, run_dir: Path, results: dict,
+                  csv_files: list[str]) -> RunRecord:
+    """The run's RunRecord, also written to run_dir/run_record.json."""
+    record = RunRecord(
+        schema_version=SCHEMA_VERSION, experiment=cfg.kind,
+        package_version=__version__, master_seed=cfg.master_seed,
+        config=config_to_dict(cfg), results=results, csv_files=csv_files,
+        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        run_dir=str(run_dir),
+    )
+    (run_dir / "run_record.json").write_text(record.to_json() + "\n")
+    return record
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -342,21 +367,13 @@ def run_compile(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord
     (run_dir / "final_parameters.txt").write_text(
         format_parameters(spec, best.final_theta))
 
-    record = RunRecord(
-        schema_version=SCHEMA_VERSION, experiment=cfg.kind,
-        package_version=__version__, master_seed=cfg.master_seed,
-        config=config_to_dict(cfg),
-        results={"m": m, "target": cfg.target, **_summary_dict(summary),
-                 "final_theta": [float(v) for v in best.final_theta],
-                 "labels": labels,
-                 "restart_seeds": summary.seeds},
-        csv_files=["training_curve.csv", "parameter_trajectory.csv",
-                   "final_parameters.txt"],
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_dir=str(run_dir),
-    )
-    (run_dir / "run_record.json").write_text(record.to_json() + "\n")
-    return record
+    return _write_record(
+        cfg, run_dir,
+        {"m": m, "target": cfg.target, **_summary_dict(summary),
+         "final_theta": [float(v) for v in best.final_theta],
+         "labels": labels,
+         "restart_seeds": summary.seeds},
+        ["training_curve.csv", "parameter_trajectory.csv", "final_parameters.txt"])
 
 
 def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
@@ -390,17 +407,9 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
                ["m", "mean_fidelity", "std_fidelity", "mean_fidelity_converged",
                 "std_fidelity_converged", "n_converged", "best_fidelity"],
                rows)
-    record = RunRecord(
-        schema_version=SCHEMA_VERSION, experiment=cfg.kind,
-        package_version=__version__, master_seed=cfg.master_seed,
-        config=config_to_dict(cfg),
-        results={"target": cfg.target, "depths": list(depths), "per_m": per_m},
-        csv_files=["trotter_sweep.csv"],
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_dir=str(run_dir),
-    )
-    (run_dir / "run_record.json").write_text(record.to_json() + "\n")
-    return record
+    return _write_record(cfg, run_dir,
+                         {"target": cfg.target, "depths": list(depths), "per_m": per_m},
+                         ["trotter_sweep.csv"])
 
 
 def run_coherent_noise_sweep(cfg: ExperimentConfig,
@@ -439,16 +448,7 @@ def run_coherent_noise_sweep(cfg: ExperimentConfig,
                              or [r["mean_fidelity"] for r in v]))
             for k, v in curves.items()},
     }
-    record = RunRecord(
-        schema_version=SCHEMA_VERSION, experiment=cfg.kind,
-        package_version=__version__, master_seed=cfg.master_seed,
-        config=config_to_dict(cfg), results=results,
-        csv_files=["noise_sweep.csv"],
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_dir=str(run_dir),
-    )
-    (run_dir / "run_record.json").write_text(record.to_json() + "\n")
-    return record
+    return _write_record(cfg, run_dir, results, ["noise_sweep.csv"])
 
 
 def _damping_inits(cfg: ExperimentConfig, theta_star: np.ndarray,
@@ -512,19 +512,12 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     _write_csv(run_dir / "damping_sweep.csv",
                ["p", "mean_fidelity", "std_fidelity", "restarts"],
                rows)
-    record = RunRecord(
-        schema_version=SCHEMA_VERSION, experiment=cfg.kind,
-        package_version=__version__, master_seed=cfg.master_seed,
-        config=config_to_dict(cfg),
-        results={"target": cfg.target, "m": m,
-                 "compiled_cost": float(compile_summary.traces[compile_summary.best_index].final_cost),
-                 "warm_start": cfg.warm_start, "per_point": per_point},
-        csv_files=["damping_sweep.csv"],
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_dir=str(run_dir),
-    )
-    (run_dir / "run_record.json").write_text(record.to_json() + "\n")
-    return record
+    return _write_record(
+        cfg, run_dir,
+        {"target": cfg.target, "m": m,
+         "compiled_cost": float(compile_summary.traces[compile_summary.best_index].final_cost),
+         "warm_start": cfg.warm_start, "per_point": per_point},
+        ["damping_sweep.csv"])
 
 
 def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
@@ -553,17 +546,9 @@ def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRec
     _write_csv(run_dir / "grad_stats.csv",
                ["m", "param_index", "label", "grad_mean", "grad_variance"],
                rows)
-    record = RunRecord(
-        schema_version=SCHEMA_VERSION, experiment=cfg.kind,
-        package_version=__version__, master_seed=cfg.master_seed,
-        config=config_to_dict(cfg),
-        results={"target": cfg.target, "samples": cfg.grad_samples, "per_m": per_m},
-        csv_files=["grad_stats.csv"],
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_dir=str(run_dir),
-    )
-    (run_dir / "run_record.json").write_text(record.to_json() + "\n")
-    return record
+    return _write_record(cfg, run_dir,
+                         {"target": cfg.target, "samples": cfg.grad_samples, "per_m": per_m},
+                         ["grad_stats.csv"])
 
 
 _RUNNERS = {

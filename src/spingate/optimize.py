@@ -90,6 +90,9 @@ class OptimizerConfig:
         for name in ("cost_tolerance", "gradient_tolerance", "spread_tolerance"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # a zero step gives a degenerate simplex that stops at once
+        if not 0.0 < self.simplex_step < np.inf:
+            raise ConfigError(f"simplex_step must be finite and > 0, got {self.simplex_step!r}")
 
     @property
     def resolved_max_iters(self) -> int:

@@ -83,6 +83,22 @@ class NoisyCircuitPlan:
                 raise DimMismatch("channel qubits must lie inside the circuit register")
         object.__setattr__(self, "target_qubits", qubits)
 
+    def register_kraus(self) -> np.ndarray:
+        """(K, 2^n, 2^n) Kraus operators of the channel on the whole register.
+
+        Each is a Kronecker product over qubits 1..n (qubit 1 leading) of
+        one channel operator on each target qubit and the identity on the
+        others, so K = len(channel.operators) ** len(target_qubits).
+        """
+        chan = np.stack(self.channel.operators)
+        eye = np.eye(2, dtype=complex)[None]
+        ops = np.ones((1, 1, 1), dtype=complex)
+        for q in range(1, self.circuit.n + 1):
+            size = 2 * ops.shape[-1]
+            factor = chan if q in self.target_qubits else eye
+            ops = np.einsum("kab,jcd->kjacbd", ops, factor).reshape(-1, size, size)
+        return ops
+
 
 def _unitary_on_front(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """rho -> (U (x) I) rho (U (x) I)^dag with U acting on the leading qubits."""

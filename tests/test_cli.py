@@ -142,6 +142,10 @@ def test_bad_restarts_flag_exits_2(tmp_path, capsys, flags):
     "cost_tolerance = -1e-4\n",
     "gradient_tolerance = -1\n",
     "spread_tolerance = -1\n",
+    "simplex_step = 0\n",
+    "simplex_step = -0.1\n",
+    "simplex_step = nan\n",
+    "simplex_step = inf\n",
 ])
 def test_bad_optimizer_values_exit_2(tmp_path, capsys, extra):
     ini = write_tiny_ini(tmp_path / "exp.ini")
@@ -179,4 +183,18 @@ def test_bad_noise_grid_exits_2_before_compiling(tmp_path, capsys, grid):
     out = tmp_path / "out"
     assert main(["noise-sweep", "--config", str(ini), "--out", str(out)]) == 2
     assert "noise grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    "[damping]\nwarm_sigma = nan\n",
+    "[damping]\ngrid = 0, nan\n",
+    "[damping]\ngrid = 0:inf:0.1\n",
+    "[damping]\ngrid = 0:0.1:inf\n",
+])
+def test_bad_damping_values_exit_2_before_compiling(tmp_path, capsys, extra):
+    ini = write_tiny_ini(tmp_path / "exp.ini", extra=extra)
+    out = tmp_path / "out"
+    assert main(["damping-sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()

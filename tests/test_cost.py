@@ -14,9 +14,9 @@ from spingate.errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger
 from spingate.optimize import InitScheme
-from spingate.simulator import (NoisyCircuitPlan, amplitude_damping,
-                                bell_prep_state, evolve_density,
-                                readout_vector)
+from spingate.simulator import (KrausChannel, NoisyCircuitPlan,
+                                amplitude_damping, bell_prep_state,
+                                evolve_density, readout_vector)
 from spingate.targets import fredkin, toffoli
 
 
@@ -63,20 +63,39 @@ def test_density_mode_p0_matches_noiseless(spec3, rng):
         assert abs(a.cost(theta) - b.cost(theta)) < 1e-10
 
 
+def depolarizing(p):
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0]))
+    return KrausChannel(f"depolarizing(p={p:g})",
+                        (np.sqrt(1 - 0.75 * p) * np.eye(2),
+                         *(np.sqrt(p / 4) * s for s in paulis)))
+
+
 def test_density_fastpath_matches_literal_evolution(spec3, rng):
-    """The superoperator shortcut must track the straight density route."""
-    target = toffoli()
-    for placement in ("after-each-layer", "after-each-gate", "final-only"):
-        c = build_hva(spec3, 2)
-        plan = NoisyCircuitPlan(c, amplitude_damping(0.08), placement)
-        ev = CostEvaluator(c, target, mode="hs-test-density", plan=plan)
-        for _ in range(3):
-            theta = rng.normal(size=15)
-            u = bell_prep_state(3)
-            rho = evolve_density(plan, theta, np.outer(u, u.conj()))
-            w = readout_vector(target)
-            literal = 1.0 - (w.conj() @ rho @ w).real
-            assert abs(ev.cost(theta) - literal) < 1e-12
+    """The superoperator shortcut must track the straight density route.
+
+    Amplitude damping's superoperator is nearly diagonal and can hide a
+    basis or sign error that only shows once steps compose, so a
+    depolarizing channel and a partial qubit set are checked as well.
+    """
+    u = bell_prep_state(3)
+    rho0 = np.outer(u, u.conj())
+    for target in (toffoli(), fredkin()):
+        w = readout_vector(target)
+        for m in (1, 2, 5):
+            c = build_hva(spec3, m)
+            for p in (0.0, 0.08, 0.5):
+                for channel in (amplitude_damping(p), depolarizing(p)):
+                    for qubits in (None, (1, 3)):
+                        for placement in ("after-each-layer", "after-each-gate",
+                                          "final-only"):
+                            plan = NoisyCircuitPlan(c, channel, placement, qubits)
+                            ev = CostEvaluator(c, target, mode="hs-test-density",
+                                               plan=plan)
+                            theta = rng.normal(size=15)
+                            rho = evolve_density(plan, theta, rho0)
+                            literal = 1.0 - (w.conj() @ rho @ w).real
+                            assert abs(ev.cost(theta) - literal) < 1e-12
 
 
 def test_cost_periodicity(spec3, rng):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spingate.errors import InvalidQubitCount, LengthMismatch
 from spingate.hamiltonian import (PAULI_1Q, HamiltonianSpec, PauliString,
@@ -106,11 +109,15 @@ def test_wrap_angles_window(rng):
     assert np.max(np.abs(k - np.round(k))) < 1e-9
 
 
-def test_format_parse_roundtrip(spec3, rng):
-    theta = np.round(rng.normal(size=spec3.q), 10)
+@settings(max_examples=200, deadline=None)
+@given(theta=arrays(float, 15, elements=st.floats(-1e3, 1e3)))
+def test_format_parse_roundtrip(spec3, theta):
+    # format keeps 10 decimals: parsing gives theta to within half a unit
+    # in that place, and formatting the parsed values again is exact
     text = format_parameters(spec3, theta)
     back = parse_parameters(text, spec3)
-    assert np.allclose(back, theta, atol=1e-10)
+    assert np.all(np.abs(back - theta) <= 5e-11 + 1e-15 * np.abs(theta))
+    assert format_parameters(spec3, back) == text
     assert text.splitlines()[0].startswith("X1 0 ")
     assert text.endswith("\n")
 

@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingate.errors import ConfigError
 from spingate.hamiltonian import heisenberg_spec, parse_parameters
-from spingate.harness import (DEFAULT_MASTER_SEED, ExperimentConfig,
-                              config_to_dict, load_config, run_compile,
+from spingate.harness import (DEFAULT_MASTER_SEED, MAX_GRID_POINTS,
+                              ExperimentConfig, _parse_float_list,
+                              _parse_int_list, config_to_dict, load_config,
+                              run_compile,
                               run_coherent_noise_sweep, run_damping_sweep,
                               run_experiment, run_grad_stats,
                               run_trotter_sweep)
@@ -68,12 +72,12 @@ class TestConfigValidation:
     def test_bad_damping_settings(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(damping_restarts=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(warm_sigma=-0.1)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(damping_grid=(0.0, 1.5))
-        with pytest.raises(ConfigError):
-            ExperimentConfig(damping_grid=(-0.01,))
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(warm_sigma=sigma)
+        for grid in ((0.0, 1.5), (-0.01,), (0.0, float("nan"))):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(damping_grid=grid)
 
     def test_single_m_guard(self):
         cfg = ExperimentConfig(m=(2, 3))
@@ -174,10 +178,16 @@ class TestLoadConfig:
 
     def test_bad_grid_shorthand(self, tmp_path):
         p = tmp_path / "exp.ini"
-        p.write_text("[noise]\ngrid = 0:0.1\n")
-        with pytest.raises(ConfigError, match="grid"):
-            load_config(p)
-        p.write_text("[noise]\ngrid = 0.2:0.1:0.05\n")
+        for spec in ("0:0.1", "0.2:0.1:0.05", "0:inf:0.1", "0:0.1:inf", "nan:0.1:0.05",
+                     "0:0.1:0", "0:1:1e-9", "-1e308:1e308:1", "0:1e-12:1e-13"):
+            p.write_text(f"[noise]\ngrid = {spec}\n")
+            with pytest.raises(ConfigError, match="grid"):
+                load_config(p)
+
+    @pytest.mark.parametrize("grid", ["0, nan", "inf", "0, 0.1, -inf"])
+    def test_non_finite_float_list(self, tmp_path, grid):
+        p = tmp_path / "exp.ini"
+        p.write_text(f"[damping]\ngrid = {grid}\n")
         with pytest.raises(ConfigError, match="grid"):
             load_config(p)
 
@@ -186,6 +196,49 @@ class TestLoadConfig:
         p.write_text("[optimizer]\nalgorithm = adam\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1.0, 1.0), step=st.floats(1e-3, 1.0), n=st.integers(0, 100))
+def test_grid_spec_points(start, step, n):
+    stop = start + n * step
+    grid = _parse_float_list(f"{start!r}:{stop!r}:{step!r}")
+    assert len(grid) == n + 1
+    assert grid[0] == np.round(start, 12) and grid[-1] == np.round(stop, 12)
+    assert np.all(np.diff(grid) > 0)
+
+
+# spec-like characters, so that most draws get past float() to the range checks
+GRID_GARBAGE = st.text(alphabet="0123456789.:,-+e nainf", max_size=16) | st.text(max_size=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=GRID_GARBAGE)
+def test_float_list_parse_gives_finite_values_or_config_error(text):
+    try:
+        values = _parse_float_list(text)
+    except ConfigError:
+        return
+    assert np.isfinite(values).all()
+    if ":" in text:
+        assert 1 <= len(values) <= MAX_GRID_POINTS
+        assert np.all(np.diff(values) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-10**9, 10**9), max_size=12))
+def test_int_list_round_trip(values):
+    assert _parse_int_list(", ".join(map(str, values))) == tuple(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="0123456789,-+ .x", max_size=16) | st.text(max_size=16))
+def test_int_list_parse_gives_ints_or_config_error(text):
+    try:
+        values = _parse_int_list(text)
+    except ConfigError:
+        return
+    assert all(isinstance(v, int) for v in values)
 
 
 def test_run_compile_outputs(tmp_path):

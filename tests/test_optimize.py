@@ -188,7 +188,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(algorithm="adam")
     for bad in (dict(restarts=0), dict(history_size=0), dict(max_iters=0),
                 dict(cost_tolerance=-1e-4), dict(gradient_tolerance=-1.0),
-                dict(spread_tolerance=float("nan"))):
+                dict(spread_tolerance=float("nan")), dict(simplex_step=0.0),
+                dict(simplex_step=-0.1), dict(simplex_step=float("nan")),
+                dict(simplex_step=float("inf"))):
         with pytest.raises(ConfigError):
             OptimizerConfig(**bad)
     assert OptimizerConfig().resolved_max_iters == 200
