@@ -125,7 +125,7 @@ class CostEvaluator:
             step = self._real_superop(kraus @ layer_unitary(circuit, theta))
             total = np.linalg.matrix_power(step, circuit.m)
         else:
-            # one gate at a time: a stack of all Q steps falls out of cache
+            # one gate at a time: a (Q, d^2, d^2) stack of steps ran 2.5x slower
             gates = gate_matrices(circuit, theta)
             step = self._real_superop(kraus @ gates[0])
             for g in gates[1:]:

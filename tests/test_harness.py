@@ -212,7 +212,7 @@ def test_grid_spec_points(start, step, n):
 GRID_GARBAGE = st.text(alphabet="0123456789.:,-+e nainf", max_size=16) | st.text(max_size=16)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(text=GRID_GARBAGE)
 def test_float_list_parse_gives_finite_values_or_config_error(text):
     try:
