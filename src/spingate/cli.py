@@ -12,8 +12,8 @@ import dataclasses
 import sys
 
 from .errors import ConfigError, SpingateError, UnknownGate
-from .harness import (DEFAULT_MASTER_SEED, ExperimentConfig, load_config,
-                      run_experiment)
+from .harness import (DEFAULT_MASTER_SEED, ExperimentConfig, _parse_int_list,
+                      load_config, run_experiment)
 
 _SUBCOMMAND_KIND = {
     "compile": "compile",
@@ -54,10 +54,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace,
     if args.target is not None:
         updates["target"] = args.target
     if args.m is not None:
-        try:
-            updates["m"] = tuple(int(p) for p in args.m.split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --m value {args.m!r}") from exc
+        updates["m"] = _parse_int_list(args.m)
     if args.restarts is not None:
         updates["optimizer"] = dataclasses.replace(cfg.optimizer,
                                                    restarts=args.restarts)

@@ -8,12 +8,16 @@ Five experiment kinds cover the package's workflows:
 * damping-sweep       -- re-optimization under amplitude damping per p
 * grad-stats          -- per-coordinate gradient variance over random inits
 
-Configs are INI files (configparser); unknown sections or keys are
-rejected so a typo cannot silently fall back to a default.  Every run
-writes into a fresh run-scoped subdirectory (never overwriting), emits
-one JSON RunRecord plus per-experiment CSVs, and derives every random
-stream from the single master seed, so a re-run with the same config
-reproduces all emitted numbers except wall-time fields.
+Configs are INI files (configparser).  `_SCHEMA` is the one list of INI
+keys: each maps to a field of ExperimentConfig, OptimizerConfig or
+InitScheme, and every default lives on those dataclasses, so a key that
+is absent or empty leaves its field at the dataclass default.  Unknown
+sections or keys are rejected so a typo cannot silently fall back to a
+default.  Every run writes into a fresh run-scoped subdirectory (never
+overwriting), emits one JSON RunRecord plus per-experiment CSVs, and
+derives every random stream from the single master seed, so a re-run
+with the same config reproduces all emitted numbers except wall-time
+fields.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_gr
 from .optimize import (InitScheme, OptimizerConfig, RestartSummary,
                        multi_restart, nelder_mead_minimize)
 from .seeding import derive_rng, derive_subseed
-from .simulator import NoisyCircuitPlan, amplitude_damping
+from .simulator import PLACEMENTS, NoisyCircuitPlan, amplitude_damping
 from .targets import resolve_target
 
 SCHEMA_VERSION = 1
@@ -50,6 +54,9 @@ DEFAULT_DAMPING_GRID = (0.0, 0.005, 0.01, 0.015, 0.02)
 # longest grid a start:stop:step spec may expand to; a larger count is a
 # typo, and expanding it first could exhaust memory
 MAX_GRID_POINTS = 10_000
+# a start:stop:step spec must reach stop within this many steps; float
+# rounding of a spec that does is orders of magnitude below it
+GRID_STOP_TOLERANCE = 1e-9
 
 # Four independent stream labels keep the restart draws, the noise
 # realizations, the damping warm kicks, and the grad-stats inits from
@@ -68,8 +75,7 @@ class ExperimentConfig:
     m: tuple[int, ...] = (6,)
     master_seed: int = DEFAULT_MASTER_SEED
     output_dir: str = "runs"
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(algorithm="lbfgs"))
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     init: InitScheme = field(default_factory=InitScheme)
     noise_kinds: tuple[str, ...] = NOISE_KINDS
     noise_mode: str = "deterministic-shift"
@@ -87,6 +93,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.m or any(int(v) < 1 for v in self.m):
             raise ConfigError(f"depth list must be positive integers, got {self.m!r}")
+        for name in ("m", "noise_kinds", "damping_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} holds duplicate entries: {values!r}")
+        # an empty sweep list leaves nothing to run after the compile; other
+        # kinds ignore the list, so a compile config may leave it empty
+        swept = {"coherent-noise-sweep": "noise_kinds", "damping-sweep": "damping_grid"}
+        if self.kind in swept and not getattr(self, swept[self.kind]):
+            raise ConfigError(f"{self.kind} needs a non-empty {swept[self.kind]}")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         for k in self.noise_kinds:
@@ -98,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError(f"warm_sigma must be finite and >= 0, got {self.warm_sigma!r}")
         if not all(0 <= p <= 1 for p in self.damping_grid):
             raise ConfigError("damping grid values must lie in [0, 1]")
+        if self.damping_placement not in PLACEMENTS:
+            raise ConfigError(f"unknown damping placement {self.damping_placement!r}")
         try:
             check_delta_grid(self.noise_grid)
         except ValueError as exc:
@@ -114,21 +131,13 @@ class ExperimentConfig:
         return self.m[0]
 
 
-_SECTION_KEYS = {
-    "experiment": {"kind", "target", "m", "master_seed", "output_dir"},
-    "optimizer": {"algorithm", "max_iters", "cost_tolerance", "gradient_tolerance",
-                  "history_size", "simplex_step", "spread_tolerance", "restarts"},
-    "init": {"sigma", "mean", "clip_low", "clip_high"},
-    "noise": {"kinds", "mode", "samples", "grid"},
-    "damping": {"grid", "placement", "restarts", "warm_start", "warm_sigma"},
-    "grad-stats": {"samples"},
-}
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(p) for p in _parse_str_list(text))
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
@@ -146,12 +155,15 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         intervals = (stop - start) / step  # may overflow to inf
         if not intervals < MAX_GRID_POINTS:
             raise ConfigError(f"grid spec {text!r} has more than {MAX_GRID_POINTS} points")
+        if abs(intervals - round(intervals)) > GRID_STOP_TOLERANCE:
+            raise ConfigError(f"grid spec {text!r}: stop is not a whole number of steps "
+                              "from start")
         grid = np.round(start + step * np.arange(round(intervals) + 1), 12)
         if np.any(np.diff(grid) <= 0):
             raise ConfigError(f"grid spec {text!r}: points closer than 1e-12 merge")
         return tuple(grid.tolist())
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
+        values = tuple(float(p) for p in _parse_str_list(text))
     except ValueError as exc:
         raise ConfigError(f"bad float list {text!r}") from exc
     if not np.isfinite(values).all():
@@ -159,22 +171,44 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_section(section) or not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
+def _parse_bool(text: str) -> bool:
     try:
-        if cast is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# The one list of INI keys: (section, key) -> (config class, field, parser).
+# clip_low and clip_high are the two ends of InitScheme.clip.
+_SCHEMA = {
+    ("experiment", "kind"): (ExperimentConfig, "kind", str),
+    ("experiment", "target"): (ExperimentConfig, "target", str),
+    ("experiment", "m"): (ExperimentConfig, "m", _parse_int_list),
+    ("experiment", "master_seed"): (ExperimentConfig, "master_seed", int),
+    ("experiment", "output_dir"): (ExperimentConfig, "output_dir", str),
+    ("optimizer", "algorithm"): (OptimizerConfig, "algorithm", str),
+    ("optimizer", "max_iters"): (OptimizerConfig, "max_iters", int),
+    ("optimizer", "cost_tolerance"): (OptimizerConfig, "cost_tolerance", float),
+    ("optimizer", "gradient_tolerance"): (OptimizerConfig, "gradient_tolerance", float),
+    ("optimizer", "history_size"): (OptimizerConfig, "history_size", int),
+    ("optimizer", "simplex_step"): (OptimizerConfig, "simplex_step", float),
+    ("optimizer", "spread_tolerance"): (OptimizerConfig, "spread_tolerance", float),
+    ("optimizer", "restarts"): (OptimizerConfig, "restarts", int),
+    ("init", "sigma"): (InitScheme, "sigma", float),
+    ("init", "mean"): (InitScheme, "mean", float),
+    ("init", "clip_low"): (InitScheme, "clip", float),
+    ("init", "clip_high"): (InitScheme, "clip", float),
+    ("noise", "kinds"): (ExperimentConfig, "noise_kinds", _parse_str_list),
+    ("noise", "mode"): (ExperimentConfig, "noise_mode", str),
+    ("noise", "samples"): (ExperimentConfig, "noise_samples", int),
+    ("noise", "grid"): (ExperimentConfig, "noise_grid", _parse_float_list),
+    ("damping", "grid"): (ExperimentConfig, "damping_grid", _parse_float_list),
+    ("damping", "placement"): (ExperimentConfig, "damping_placement", str),
+    ("damping", "restarts"): (ExperimentConfig, "damping_restarts", int),
+    ("damping", "warm_start"): (ExperimentConfig, "warm_start", _parse_bool),
+    ("damping", "warm_sigma"): (ExperimentConfig, "warm_sigma", float),
+    ("grad-stats", "samples"): (ExperimentConfig, "grad_samples", int),
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -189,65 +223,33 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        keys = {key for sec, key in _SCHEMA if sec == section}
+        if not keys:
             raise ConfigError(f"unknown config section [{section}]")
-        extra = set(parser.options(section)) - _SECTION_KEYS[section]
+        extra = set(parser.options(section)) - keys
         if extra:
             raise ConfigError(f"unknown key(s) in [{section}]: {sorted(extra)}")
 
-    opt_kwargs = dict(
-        algorithm=_get(parser, "optimizer", "algorithm", str, "lbfgs"),
-        max_iters=_get(parser, "optimizer", "max_iters", int, None),
-        cost_tolerance=_get(parser, "optimizer", "cost_tolerance", float, 1e-4),
-        gradient_tolerance=_get(parser, "optimizer", "gradient_tolerance", float, 1e-8),
-        history_size=_get(parser, "optimizer", "history_size", int, 10),
-        simplex_step=_get(parser, "optimizer", "simplex_step", float, 0.1),
-        spread_tolerance=_get(parser, "optimizer", "spread_tolerance", float, 1e-8),
-        restarts=_get(parser, "optimizer", "restarts", int, 10),
-    )
-    try:
-        optimizer = OptimizerConfig(**opt_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    init = InitScheme(
-        sigma=_get(parser, "init", "sigma", float, 0.5),
-        mean=_get(parser, "init", "mean", float, 0.0),
-        clip=(_get(parser, "init", "clip_low", float, -1.0),
-              _get(parser, "init", "clip_high", float, 1.0)),
-        seed=_get(parser, "experiment", "master_seed", int, DEFAULT_MASTER_SEED),
-    )
-
-    kinds_text = _get(parser, "noise", "kinds", str, ",".join(NOISE_KINDS))
-    noise_kinds = tuple(k.strip() for k in kinds_text.split(",") if k.strip())
-
-    return ExperimentConfig(
-        kind=_get(parser, "experiment", "kind", str, "compile"),
-        target=_get(parser, "experiment", "target", str, "toffoli"),
-        m=_get(parser, "experiment", "m", _parse_int_list, (6,)),
-        master_seed=_get(parser, "experiment", "master_seed", int, DEFAULT_MASTER_SEED),
-        output_dir=_get(parser, "experiment", "output_dir", str, "runs"),
-        optimizer=optimizer,
-        init=init,
-        noise_kinds=noise_kinds,
-        noise_mode=_get(parser, "noise", "mode", str, "deterministic-shift"),
-        noise_samples=_get(parser, "noise", "samples", int, 200),
-        noise_grid=_get(parser, "noise", "grid", _parse_float_list,
-                        tuple(DEFAULT_DELTA_GRID.tolist())),
-        damping_grid=_get(parser, "damping", "grid", _parse_float_list, DEFAULT_DAMPING_GRID),
-        damping_placement=_get(parser, "damping", "placement", str, "after-each-layer"),
-        damping_restarts=_get(parser, "damping", "restarts", int, 100),
-        warm_start=_get(parser, "damping", "warm_start", bool, True),
-        warm_sigma=_get(parser, "damping", "warm_sigma", float, 0.1),
-        grad_samples=_get(parser, "grad-stats", "samples", int, 100),
-    )
+    kwargs = {ExperimentConfig: {}, OptimizerConfig: {}, InitScheme: {}}
+    for (section, key), (cls, name, parse) in _SCHEMA.items():
+        raw = parser.get(section, key, fallback="").strip()
+        if raw == "":
+            continue
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        if name == "clip":
+            low, high = kwargs[InitScheme].get("clip", InitScheme().clip)
+            value = (value, high) if key == "clip_low" else (low, value)
+        kwargs[cls][name] = value
+    return ExperimentConfig(**kwargs[ExperimentConfig],
+                            optimizer=OptimizerConfig(**kwargs[OptimizerConfig]),
+                            init=InitScheme(**kwargs[InitScheme]))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["optimizer"] = dataclasses.asdict(cfg.optimizer)
-    out["init"] = dataclasses.asdict(cfg.init)
-    return out
+    return dataclasses.asdict(cfg)
 
 
 @dataclass
@@ -284,13 +286,23 @@ def _fresh_run_dir(cfg: ExperimentConfig) -> Path:
     raise RuntimeError("could not allocate a fresh run directory")
 
 
-def _write_record(cfg: ExperimentConfig, run_dir: Path, results: dict,
-                  csv_files: list[str]) -> RunRecord:
-    """The run's RunRecord, also written to run_dir/run_record.json."""
+def _write_run(cfg: ExperimentConfig, run_dir: Path | None, results: dict,
+               files: dict) -> RunRecord:
+    """Write `files` in order, then the run's RunRecord as run_record.json.
+
+    `files` maps a file name to its text or to a CSV (header, rows).  The
+    run directory is allocated here, after the compute, unless given.
+    """
+    run_dir = run_dir or _fresh_run_dir(cfg)
+    for name, content in files.items():
+        if not isinstance(content, str):
+            header, rows = content
+            content = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        (run_dir / name).write_text(content)
     record = RunRecord(
         schema_version=SCHEMA_VERSION, experiment=cfg.kind,
         package_version=__version__, master_seed=cfg.master_seed,
-        config=config_to_dict(cfg), results=results, csv_files=csv_files,
+        config=config_to_dict(cfg), results=results, csv_files=list(files),
         created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         run_dir=str(run_dir),
     )
@@ -298,29 +310,15 @@ def _write_record(cfg: ExperimentConfig, run_dir: Path, results: dict,
     return record
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _summary_dict(summary: RestartSummary) -> dict:
-    stats = summary.stats()
-    best = summary.traces[summary.best_index]
+    best = summary.best
     return {
         "best_restart": summary.best_index,
         "best_cost": best.final_cost,
         "best_fidelity": 1.0 - best.final_cost,
         "best_iterations": best.iterations,
         "best_converged": best.converged,
-        **stats,
+        **summary.stats(),
     }
 
 
@@ -342,38 +340,36 @@ def _trajectory_rows(summary: RestartSummary, labels: list[str]) -> list[list]:
     return rows
 
 
-def _compile_summary(cfg: ExperimentConfig, evaluator: CostEvaluator) -> RestartSummary:
-    return multi_restart(evaluator, cfg.init, cfg.optimizer)
+def _evaluator(cfg: ExperimentConfig, m: int) -> CostEvaluator:
+    """Exact-trace cost of the configured target on the m-layer circuit."""
+    target = resolve_target(cfg.target)
+    return CostEvaluator(build_hva(heisenberg_spec(target.n), m), target, mode="exact-trace")
+
+
+def _depths(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """A depth list as given; a single depth m stands for 1..m."""
+    return cfg.m if len(cfg.m) > 1 else tuple(range(1, cfg.m[0] + 1))
 
 
 def run_compile(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
     """Multi-restart compile of one gate; training curves plus final table."""
-    target = resolve_target(cfg.target)
-    spec = heisenberg_spec(target.n)
-    m = cfg.single_m
-    circuit = build_hva(spec, m)
-    evaluator = CostEvaluator(circuit, target, mode="exact-trace")
-    summary = _compile_summary(cfg, evaluator)
-    best = summary.traces[summary.best_index]
-
-    run_dir = run_dir or _fresh_run_dir(cfg)
+    evaluator = _evaluator(cfg, cfg.single_m)
+    summary = multi_restart(evaluator, cfg.init, cfg.optimizer)
+    spec = evaluator.circuit.spec
     labels = list(spec.labels)
-    _write_csv(run_dir / "training_curve.csv",
-               ["restart", "iteration", "cost", "grad_norm_or_spread", "elapsed_ms"],
-               _training_rows(summary))
-    _write_csv(run_dir / "parameter_trajectory.csv",
-               ["restart", "iteration", "param_index", "label", "value"],
-               _trajectory_rows(summary, labels))
-    (run_dir / "final_parameters.txt").write_text(
-        format_parameters(spec, best.final_theta))
-
-    return _write_record(
+    return _write_run(
         cfg, run_dir,
-        {"m": m, "target": cfg.target, **_summary_dict(summary),
-         "final_theta": [float(v) for v in best.final_theta],
+        {"m": cfg.single_m, "target": cfg.target, **_summary_dict(summary),
+         "final_theta": [float(v) for v in summary.best.final_theta],
          "labels": labels,
          "restart_seeds": summary.seeds},
-        ["training_curve.csv", "parameter_trajectory.csv", "final_parameters.txt"])
+        {"training_curve.csv": (
+            ["restart", "iteration", "cost", "grad_norm_or_spread", "elapsed_ms"],
+            _training_rows(summary)),
+         "parameter_trajectory.csv": (
+            ["restart", "iteration", "param_index", "label", "value"],
+            _trajectory_rows(summary, labels)),
+         "final_parameters.txt": format_parameters(spec, summary.best.final_theta)})
 
 
 def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
@@ -383,18 +379,12 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     (empty population -> nan), and the best restart's fidelity, so both
     readings of the restart statistics stay available downstream.
     """
-    target = resolve_target(cfg.target)
-    spec = heisenberg_spec(target.n)
-    depths = cfg.m if len(cfg.m) > 1 else tuple(range(1, cfg.m[0] + 1))
-
+    depths = _depths(cfg)
     rows = []
     per_m = {}
     for m in depths:
-        circuit = build_hva(spec, m)
-        evaluator = CostEvaluator(circuit, target, mode="exact-trace")
-        summary = _compile_summary(cfg, evaluator)
-        finals = np.array([t.final_cost for t in summary.traces])
-        fid = 1.0 - finals
+        summary = multi_restart(_evaluator(cfg, m), cfg.init, cfg.optimizer)
+        fid = 1.0 - summary.final_costs
         conv = np.array([t.converged for t in summary.traces])
         conv_mean = float(fid[conv].mean()) if conv.any() else float("nan")
         conv_std = float(fid[conv].std()) if conv.any() else float("nan")
@@ -402,26 +392,21 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
                      int(conv.sum()), float(fid.max())])
         per_m[str(m)] = _summary_dict(summary)
 
-    run_dir = run_dir or _fresh_run_dir(cfg)
-    _write_csv(run_dir / "trotter_sweep.csv",
-               ["m", "mean_fidelity", "std_fidelity", "mean_fidelity_converged",
-                "std_fidelity_converged", "n_converged", "best_fidelity"],
-               rows)
-    return _write_record(cfg, run_dir,
-                         {"target": cfg.target, "depths": list(depths), "per_m": per_m},
-                         ["trotter_sweep.csv"])
+    return _write_run(
+        cfg, run_dir,
+        {"target": cfg.target, "depths": list(depths), "per_m": per_m},
+        {"trotter_sweep.csv": (
+            ["m", "mean_fidelity", "std_fidelity", "mean_fidelity_converged",
+             "std_fidelity_converged", "n_converged", "best_fidelity"],
+            rows)})
 
 
 def run_coherent_noise_sweep(cfg: ExperimentConfig,
                              run_dir: Path | None = None) -> RunRecord:
     """Charge and nuclear robustness curves for a freshly compiled gate."""
-    target = resolve_target(cfg.target)
-    spec = heisenberg_spec(target.n)
-    m = cfg.single_m
-    circuit = build_hva(spec, m)
-    evaluator = CostEvaluator(circuit, target, mode="exact-trace")
-    summary = _compile_summary(cfg, evaluator)
-    theta_star = summary.traces[summary.best_index].final_theta
+    evaluator = _evaluator(cfg, cfg.single_m)
+    summary = multi_restart(evaluator, cfg.init, cfg.optimizer)
+    theta_star = summary.best.final_theta
 
     rows = []
     curves = {}
@@ -434,21 +419,20 @@ def run_coherent_noise_sweep(cfg: ExperimentConfig,
             rows.append([kind, cfg.noise_mode, r["delta"], r["mean_fidelity"],
                          r["std_fidelity"], r["samples"]])
 
-    run_dir = run_dir or _fresh_run_dir(cfg)
-    _write_csv(run_dir / "noise_sweep.csv",
-               ["noise_kind", "mode", "delta", "mean_fidelity", "std_fidelity",
-                "samples"],
-               rows)
     results = {
-        "target": cfg.target, "m": m,
-        "compiled_cost": float(summary.traces[summary.best_index].final_cost),
+        "target": cfg.target, "m": cfg.single_m,
+        "compiled_cost": float(summary.best.final_cost),
         "theta_star": [float(v) for v in theta_star],
         "grid_mean_fidelity": {
             k: float(np.mean([r["mean_fidelity"] for r in v if r["delta"] > 0]
                              or [r["mean_fidelity"] for r in v]))
             for k, v in curves.items()},
     }
-    return _write_record(cfg, run_dir, results, ["noise_sweep.csv"])
+    return _write_run(
+        cfg, run_dir, results,
+        {"noise_sweep.csv": (
+            ["noise_kind", "mode", "delta", "mean_fidelity", "std_fidelity", "samples"],
+            rows)})
 
 
 def _damping_inits(cfg: ExperimentConfig, theta_star: np.ndarray,
@@ -473,14 +457,9 @@ def _damping_inits(cfg: ExperimentConfig, theta_star: np.ndarray,
 
 def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
     """Nelder-Mead re-optimization of the noisy cost at each damping level."""
-    target = resolve_target(cfg.target)
-    spec = heisenberg_spec(target.n)
-    m = cfg.single_m
-    circuit = build_hva(spec, m)
-
-    noiseless = CostEvaluator(circuit, target, mode="exact-trace")
-    compile_summary = _compile_summary(cfg, noiseless)
-    theta_star = compile_summary.traces[compile_summary.best_index].final_theta
+    noiseless = _evaluator(cfg, cfg.single_m)
+    summary = multi_restart(noiseless, cfg.init, cfg.optimizer)
+    circuit = noiseless.circuit
 
     nm_cfg = OptimizerConfig(
         algorithm="nelder-mead",
@@ -495,9 +474,10 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     for gi, p in enumerate(cfg.damping_grid):
         plan = NoisyCircuitPlan(circuit=circuit, channel=amplitude_damping(float(p)),
                                 placement=cfg.damping_placement)
-        evaluator = CostEvaluator(circuit, target, mode="hs-test-density", plan=plan)
+        evaluator = CostEvaluator(circuit, noiseless.target, mode="hs-test-density",
+                                  plan=plan)
         finals = []
-        for theta0 in _damping_inits(cfg, theta_star, gi, spec.q):
+        for theta0 in _damping_inits(cfg, summary.best.final_theta, gi, circuit.q):
             trace = nelder_mead_minimize(evaluator.cost, theta0, nm_cfg)
             finals.append(1.0 - trace.final_cost)
         fid = np.array(finals)
@@ -508,30 +488,21 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
             "min_fidelity": float(fid.min()), "max_fidelity": float(fid.max()),
         }
 
-    run_dir = run_dir or _fresh_run_dir(cfg)
-    _write_csv(run_dir / "damping_sweep.csv",
-               ["p", "mean_fidelity", "std_fidelity", "restarts"],
-               rows)
-    return _write_record(
+    return _write_run(
         cfg, run_dir,
-        {"target": cfg.target, "m": m,
-         "compiled_cost": float(compile_summary.traces[compile_summary.best_index].final_cost),
+        {"target": cfg.target, "m": cfg.single_m,
+         "compiled_cost": float(summary.best.final_cost),
          "warm_start": cfg.warm_start, "per_point": per_point},
-        ["damping_sweep.csv"])
+        {"damping_sweep.csv": (["p", "mean_fidelity", "std_fidelity", "restarts"], rows)})
 
 
 def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
     """Per-coordinate gradient variance over random inits, one row per m."""
-    target = resolve_target(cfg.target)
-    spec = heisenberg_spec(target.n)
-    depths = cfg.m if len(cfg.m) > 1 else tuple(range(1, cfg.m[0] + 1))
-
     rows = []
     per_m = {}
-    labels = spec.labels
-    for m in depths:
-        circuit = build_hva(spec, m)
-        evaluator = CostEvaluator(circuit, target, mode="exact-trace")
+    for m in _depths(cfg):
+        evaluator = _evaluator(cfg, m)
+        labels = evaluator.circuit.spec.labels
         stats = evaluator.gradient_stats(
             cfg.grad_samples, cfg.init,
             seed=derive_subseed(cfg.master_seed, _STREAM_GRADS, m))
@@ -542,13 +513,11 @@ def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRec
             "overall_variance": float(stats.overall_variance),
         }
 
-    run_dir = run_dir or _fresh_run_dir(cfg)
-    _write_csv(run_dir / "grad_stats.csv",
-               ["m", "param_index", "label", "grad_mean", "grad_variance"],
-               rows)
-    return _write_record(cfg, run_dir,
-                         {"target": cfg.target, "samples": cfg.grad_samples, "per_m": per_m},
-                         ["grad_stats.csv"])
+    return _write_run(
+        cfg, run_dir,
+        {"target": cfg.target, "samples": cfg.grad_samples, "per_m": per_m},
+        {"grad_stats.csv": (
+            ["m", "param_index", "label", "grad_mean", "grad_variance"], rows)})
 
 
 _RUNNERS = {

@@ -120,6 +120,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_bad_m_flag_exits_2(tmp_path, capsys):
     assert main(["compile", "--m", "three", "--out", str(tmp_path)]) == 2
     assert main(["compile", "--m", "0", "--out", str(tmp_path)]) == 2
+    assert main(["trotter-sweep", "--m", "2,2", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
 
@@ -186,11 +187,25 @@ def test_bad_noise_grid_exits_2_before_compiling(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kinds", [",", "charge, charge"])
+def test_bad_noise_kinds_exit_2_before_compiling(tmp_path, capsys, kinds):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text() + f"kinds = {kinds}\n")
+    out = tmp_path / "out"
+    assert main(["noise-sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert "noise_kinds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     "[damping]\nwarm_sigma = nan\n",
     "[damping]\ngrid = 0, nan\n",
     "[damping]\ngrid = 0:inf:0.1\n",
     "[damping]\ngrid = 0:0.1:inf\n",
+    "[damping]\ngrid = 0:0.02:0.015\n",
+    "[damping]\ngrid = ,\n",
+    "[damping]\ngrid = 0.01, 0.01\n",
+    "[damping]\nplacement = after-each-step\n",
 ])
 def test_bad_damping_values_exit_2_before_compiling(tmp_path, capsys, extra):
     ini = write_tiny_ini(tmp_path / "exp.ini", extra=extra)

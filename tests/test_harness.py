@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +13,16 @@ from hypothesis import strategies as st
 
 from spingate.errors import ConfigError
 from spingate.hamiltonian import heisenberg_spec, parse_parameters
-from spingate.harness import (DEFAULT_MASTER_SEED, MAX_GRID_POINTS,
-                              ExperimentConfig, _parse_float_list,
+from spingate.harness import (_SCHEMA, DEFAULT_MASTER_SEED, EXPERIMENT_KINDS,
+                              MAX_GRID_POINTS, ExperimentConfig, _parse_float_list,
                               _parse_int_list, config_to_dict, load_config,
                               run_compile,
                               run_coherent_noise_sweep, run_damping_sweep,
                               run_experiment, run_grad_stats,
                               run_trotter_sweep)
+from spingate.noise import NOISE_KINDS, NOISE_MODES
 from spingate.optimize import InitScheme, OptimizerConfig
+from spingate.simulator import PLACEMENTS
 
 
 def tiny_optimizer(**kw):
@@ -60,6 +65,8 @@ class TestConfigValidation:
             ExperimentConfig(m=())
         with pytest.raises(ConfigError):
             ExperimentConfig(m=(3, -1))
+        with pytest.raises(ConfigError, match="duplicate"):
+            ExperimentConfig(kind="trotter-sweep", m=(1, 1))
 
     def test_bad_noise_settings(self):
         with pytest.raises(ConfigError):
@@ -68,6 +75,10 @@ class TestConfigValidation:
             ExperimentConfig(noise_kinds=("charge", "thermal"))
         with pytest.raises(ConfigError):
             ExperimentConfig(noise_samples=0)
+        with pytest.raises(ConfigError, match="duplicate"):
+            ExperimentConfig(noise_kinds=("charge", "charge"))
+        with pytest.raises(ConfigError, match="non-empty"):
+            ExperimentConfig(kind="coherent-noise-sweep", noise_kinds=())
 
     def test_bad_damping_settings(self):
         with pytest.raises(ConfigError):
@@ -75,9 +86,15 @@ class TestConfigValidation:
         for sigma in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 ExperimentConfig(warm_sigma=sigma)
-        for grid in ((0.0, 1.5), (-0.01,), (0.0, float("nan"))):
+        for grid in ((0.0, 1.5), (-0.01,), (0.0, float("nan")), (0.01, 0.01)):
             with pytest.raises(ConfigError):
                 ExperimentConfig(damping_grid=grid)
+        with pytest.raises(ConfigError, match="non-empty"):
+            ExperimentConfig(kind="damping-sweep", damping_grid=())
+        with pytest.raises(ConfigError, match="placement"):
+            ExperimentConfig(damping_placement="after-each-step")
+        # only the experiment that sweeps a list needs it non-empty
+        assert ExperimentConfig(kind="compile", damping_grid=()).damping_grid == ()
 
     def test_single_m_guard(self):
         cfg = ExperimentConfig(m=(2, 3))
@@ -179,7 +196,8 @@ class TestLoadConfig:
     def test_bad_grid_shorthand(self, tmp_path):
         p = tmp_path / "exp.ini"
         for spec in ("0:0.1", "0.2:0.1:0.05", "0:inf:0.1", "0:0.1:inf", "nan:0.1:0.05",
-                     "0:0.1:0", "0:1:1e-9", "-1e308:1e308:1", "0:1e-12:1e-13"):
+                     "0:0.1:0", "0:1:1e-9", "-1e308:1e308:1", "0:1e-12:1e-13",
+                     "0:1:0.6", "0:0.02:0.015"):
             p.write_text(f"[noise]\ngrid = {spec}\n")
             with pytest.raises(ConfigError, match="grid"):
                 load_config(p)
@@ -239,6 +257,114 @@ def test_int_list_parse_gives_ints_or_config_error(text):
     except ConfigError:
         return
     assert all(isinstance(v, int) for v in values)
+
+
+def _text(values):
+    return values.map(lambda v: (str(v), v))
+
+
+def _joined(values):
+    return values.map(lambda vs: (", ".join(map(str, vs)), tuple(vs)))
+
+
+_NAMES = st.text(alphabet="abcxyz_/.-", min_size=1, max_size=8)
+_GRID = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(sorted)
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
+               "false": False, "no": False, "0": False, "off": False}
+
+# (INI text, parsed value) for every key, each value valid whatever else is set
+KEY_VALUES = {
+    ("experiment", "kind"): _text(st.sampled_from(EXPERIMENT_KINDS)),
+    ("experiment", "target"): _text(_NAMES),
+    ("experiment", "m"): _joined(st.lists(st.integers(1, 40), min_size=1, max_size=4,
+                                          unique=True)),
+    ("experiment", "master_seed"): _text(st.integers(0, 2**32)),
+    ("experiment", "output_dir"): _text(_NAMES),
+    ("optimizer", "algorithm"): _text(st.sampled_from(("lbfgs", "nelder-mead"))),
+    ("optimizer", "max_iters"): _text(st.integers(1, 5000)),
+    ("optimizer", "cost_tolerance"): _text(st.floats(0.0, 1.0)),
+    ("optimizer", "gradient_tolerance"): _text(st.floats(0.0, 1.0)),
+    ("optimizer", "history_size"): _text(st.integers(1, 50)),
+    ("optimizer", "simplex_step"): _text(st.floats(1e-6, 3.0)),
+    ("optimizer", "spread_tolerance"): _text(st.floats(0.0, 1.0)),
+    ("optimizer", "restarts"): _text(st.integers(1, 100)),
+    ("init", "sigma"): _text(st.floats(0.0, 2.0)),
+    ("init", "mean"): _text(st.floats(-1.0, 1.0)),
+    ("init", "clip_low"): _text(st.floats(-3.0, 0.0)),
+    ("init", "clip_high"): _text(st.floats(0.0, 3.0)),
+    ("noise", "kinds"): _joined(st.permutations(NOISE_KINDS).flatmap(
+        lambda ks: st.integers(1, len(ks)).map(lambda n: ks[:n]))),
+    ("noise", "mode"): _text(st.sampled_from(NOISE_MODES)),
+    ("noise", "samples"): _text(st.integers(1, 1000)),
+    ("noise", "grid"): _joined(_GRID),
+    ("damping", "grid"): _joined(_GRID),
+    ("damping", "placement"): _text(st.sampled_from(PLACEMENTS)),
+    ("damping", "restarts"): _text(st.integers(1, 200)),
+    ("damping", "warm_start"): st.sampled_from(sorted(_BOOL_WORDS)).flatmap(
+        lambda w: st.sampled_from((w, w.upper())).map(lambda t: (t, _BOOL_WORDS[w]))),
+    ("damping", "warm_sigma"): _text(st.floats(0.0, 1.0)),
+    ("grad-stats", "samples"): _text(st.integers(1, 500)),
+}
+
+
+def _sub_configs(cfg):
+    return {ExperimentConfig: cfg, OptimizerConfig: cfg.optimizer, InitScheme: cfg.init}
+
+
+def test_schema_reaches_every_field_once():
+    reached = [(cls, name) for cls, name, _ in _SCHEMA.values()]
+    # the two clip keys are the two ends of one field
+    assert reached.count((InitScheme, "clip")) == 2
+    reached.remove((InitScheme, "clip"))
+    assert len(reached) == len(set(reached))
+    fields = {(cls, f.name) for cls in (ExperimentConfig, OptimizerConfig, InitScheme)
+              for f in dataclasses.fields(cls)}
+    # init.seed follows master_seed; optimizer and init hold the sub-configs
+    fields -= {(InitScheme, "seed"), (ExperimentConfig, "optimizer"),
+               (ExperimentConfig, "init")}
+    assert set(reached) == fields
+    assert set(KEY_VALUES) == set(_SCHEMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ini_file_sets_its_keys_and_defaults_the_rest(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(_SCHEMA)), unique=True))
+    sections, expected = {}, {}
+    for section, key in keys:
+        text, value = data.draw(KEY_VALUES[(section, key)])
+        if data.draw(st.booleans(), label=f"leave {key} empty"):
+            text = ""
+        else:
+            expected[(section, key)] = value
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.ini"
+        path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+        cfg = load_config(path)
+
+    default = _sub_configs(ExperimentConfig())
+    loaded = _sub_configs(cfg)
+    for (section, key), (cls, name, _) in _SCHEMA.items():
+        actual = getattr(loaded[cls], name)
+        if name == "clip":
+            actual = actual[key == "clip_high"]
+            fallback = getattr(default[cls], name)[key == "clip_high"]
+        else:
+            fallback = getattr(default[cls], name)
+        assert actual == expected.get((section, key), fallback), (section, key)
+    assert cfg.init.seed == cfg.master_seed
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "exp.ini"
+    path.write_text(blocks[0])
+    cfg = load_config(path)
+    assert cfg.target == "fredkin"
+    assert cfg.m == (5,)
 
 
 def test_run_compile_outputs(tmp_path):
