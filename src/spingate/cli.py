@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UnknownGate, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SpingateError, FloatingPointError) as exc:
+    except SpingateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"run directory: {record.run_dir}")

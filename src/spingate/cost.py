@@ -28,12 +28,15 @@ equals the single-vector cost bit for bit.
 Gradients exist for the noiseless modes only: a central finite difference
 (2Q cost calls) and an adjoint-style sweep that uses the shared layer:
 one pass over the layer's factors plus O(m) products for the depth.
+`gradients` runs the adjoint sweep over a (B, Q) stack, COST_CHUNK_ROWS
+rows per broadcast call, and `gradient` is its one-row case, so every
+row's gradient equals the single-vector gradient bit for bit.  Neither
+counts towards eval_count, which counts cost evaluations only.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +53,7 @@ MODES = ("exact-trace", "hs-test-statevector", "hs-test-density")
 
 CENTRAL_DIFF_STEP = 1e-6
 # rows per stacked exact-trace evaluation: bounds the (rows, Q, d, d)
-# factor stack that `costs` holds at once
+# factor stacks that `costs` and `gradients` hold at once
 COST_CHUNK_ROWS = 16
 
 
@@ -63,7 +66,6 @@ class CostEvaluator:
     mode: str = "exact-trace"
     plan: NoisyCircuitPlan | None = None
     eval_count: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -149,10 +151,9 @@ class CostEvaluator:
         return wrap_angles(theta)
 
     def cost(self, theta: np.ndarray) -> float:
-        """Infidelity in [0, 1]; increments eval_count thread-safely."""
+        """Infidelity in [0, 1]; increments eval_count."""
         theta = self._check(theta)
-        with self._lock:
-            self.eval_count += 1
+        self.eval_count += 1
         if self.mode == "exact-trace":
             u = circuit_unitary(self.circuit, theta)
             return 1.0 - hs_overlap(u, self.target.matrix)
@@ -170,8 +171,7 @@ class CostEvaluator:
         thetas = self._check(thetas, ndim=2)
         if self.mode != "exact-trace":
             return np.array([self.cost(row) for row in thetas], dtype=float)
-        with self._lock:
-            self.eval_count += len(thetas)
+        self.eval_count += len(thetas)
         out = np.empty(len(thetas))
         for start in range(0, len(thetas), COST_CHUNK_ROWS):
             u = circuit_unitary(self.circuit, thetas[start:start + COST_CHUNK_ROWS])
@@ -188,8 +188,22 @@ class CostEvaluator:
         if method == "central-diff":
             return self._gradient_central(theta)
         if method == "adjoint":
-            return self._gradient_adjoint(theta)
+            return self.gradients(self._check(theta)[None])[0]
         raise ValueError(f"unknown gradient method {method!r}")
+
+    def gradients(self, thetas: np.ndarray) -> np.ndarray:
+        """Adjoint gradients of a (B, Q) stack, row r equal to gradient(thetas[r]) bit for bit.
+
+        Runs the adjoint sweep on COST_CHUNK_ROWS rows per broadcast call.
+        """
+        if self.noisy:
+            raise NoisyModeUnsupported("gradients are defined for noiseless modes only")
+        thetas = self._check(thetas, ndim=2)
+        out = np.empty(thetas.shape)
+        for start in range(0, len(thetas), COST_CHUNK_ROWS):
+            out[start:start + COST_CHUNK_ROWS] = self._gradient_adjoint(
+                thetas[start:start + COST_CHUNK_ROWS])
+        return out
 
     def _gradient_central(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -203,8 +217,8 @@ class CostEvaluator:
             grad[j] = (self.cost(up) - self.cost(dn)) / (2.0 * h)
         return grad
 
-    def _gradient_adjoint(self, theta: np.ndarray) -> np.ndarray:
-        """Analytic gradient from one sweep over a single shared layer.
+    def _gradient_adjoint(self, thetas: np.ndarray) -> np.ndarray:
+        """Analytic gradients of a wrapped (B, Q) stack from one sweep over the shared layer.
 
         With T = Tr(V^dag U), U = L^m and every layer sharing theta,
         dT/dtheta_j = Tr(M dL/dtheta_j) with the environment
@@ -213,12 +227,12 @@ class CostEvaluator:
         G_j, so dT/dtheta_j = -i t0 Tr(P_j F_j B_j) with the prefix
         F_j = G_j ... G_0 and the suffix B_j = M G_(Q-1) ... G_(j+1).  This
         costs O(m + Q) matrix products instead of O(mQ).  Then
-        dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).
+        dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).  Every product is
+        the same per-matrix multiplication for each row of the stack.
         """
-        theta = self._check(theta)
         circuit = self.circuit
         m, d = circuit.m, self._dim
-        gs = gate_matrices(circuit, theta)
+        gs = np.moveaxis(gate_matrices(circuit, thetas), 1, 0)  # (Q, B, d, d)
         fwd = np.empty_like(gs)
         fwd[0] = gs[0]
         for j in range(1, len(gs)):
@@ -227,31 +241,29 @@ class CostEvaluator:
         powers = [np.eye(d, dtype=complex)]
         for _ in range(m - 1):
             powers.append(layer @ powers[-1])
-        t_val = np.trace(self._v_dag @ layer @ powers[-1])
+        t_val = np.trace(self._v_dag @ layer @ powers[-1], axis1=-2, axis2=-1)
         env = sum(powers[l] @ self._v_dag @ powers[m - 1 - l] for l in range(m))
         back = np.empty_like(gs)
         back[-1] = env
         for j in range(len(gs) - 2, -1, -1):
             back[j] = back[j + 1] @ gs[j + 1]
-        dt = -1j * circuit.t0 * np.einsum("jab,jbc,jca->j",
+        dt = -1j * circuit.t0 * np.einsum("jab,jrbc,jrca->rj",
                                           circuit.spec.matrices(), fwd, back)
-        return -(2.0 / (d * d)) * (np.conj(t_val) * dt).real
+        return -(2.0 / (d * d)) * (np.conj(t_val)[:, None] * dt).real
 
     def gradient_stats(self, samples: int, init, seed: int) -> "GradientStats":
         """Variance of each gradient coordinate over init-scheme draws.
 
         Draws `samples` parameter vectors from the init scheme with a
-        dedicated RNG seeded by `seed`, evaluates the adjoint gradient at
-        each, and reports per-coordinate mean and variance plus the pooled
-        variance over all coordinates.
+        dedicated RNG seeded by `seed`, evaluates their adjoint gradients
+        in one stacked call, and reports per-coordinate mean and variance
+        plus the pooled variance over all coordinates.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-        grads = np.empty((samples, self.circuit.q))
-        for s in range(samples):
-            theta = init.sample(rng, self.circuit.q)
-            grads[s] = self._gradient_adjoint(theta)
+        thetas = np.array([init.sample(rng, self.circuit.q) for _ in range(samples)])
+        grads = self.gradients(thetas)
         return GradientStats(
             samples=samples,
             mean=grads.mean(axis=0),

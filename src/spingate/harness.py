@@ -290,14 +290,11 @@ def _write_run(cfg: ExperimentConfig, run_dir: Path | None, results: dict,
                files: dict) -> RunRecord:
     """Write `files` in order, then the run's RunRecord as run_record.json.
 
-    `files` maps a file name to its text or to a CSV (header, rows).  The
-    run directory is allocated here, after the compute, unless given.
+    `files` maps a file name to its text.  The run directory is allocated
+    here, after the compute, unless given.
     """
     run_dir = run_dir or _fresh_run_dir(cfg)
     for name, content in files.items():
-        if not isinstance(content, str):
-            header, rows = content
-            content = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
         (run_dir / name).write_text(content)
     record = RunRecord(
         schema_version=SCHEMA_VERSION, experiment=cfg.kind,
@@ -322,22 +319,30 @@ def _summary_dict(summary: RestartSummary) -> dict:
     }
 
 
-def _training_rows(summary: RestartSummary) -> list[list]:
-    rows = []
-    for trace in summary.traces:
-        for it in range(len(trace.costs)):
-            rows.append([trace.restart_index, it, float(trace.costs[it]),
-                         float(trace.metric[it]), float(trace.elapsed_ms[it])])
-    return rows
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header and rows of cells, each cell written by str."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
-def _trajectory_rows(summary: RestartSummary, labels: list[str]) -> list[list]:
-    rows = []
+# The two per-iteration tables are the bulk of a compile's output, so they
+# are formatted line by line from Python floats (repr, as str gives).
+def _training_csv(summary: RestartSummary) -> str:
+    lines = ["restart,iteration,cost,grad_norm_or_spread,elapsed_ms\n"]
     for trace in summary.traces:
-        for it, theta in enumerate(trace.theta_history):
-            for j, lab in enumerate(labels):
-                rows.append([trace.restart_index, it, j, lab, float(theta[j])])
-    return rows
+        columns = zip(trace.costs.tolist(), trace.metric.tolist(), trace.elapsed_ms.tolist())
+        lines.extend(f"{trace.restart_index},{it},{c!r},{g!r},{t!r}\n"
+                     for it, (c, g, t) in enumerate(columns))
+    return "".join(lines)
+
+
+def _trajectory_csv(summary: RestartSummary, labels: list[str]) -> str:
+    lines = ["restart,iteration,param_index,label,value\n"]
+    cells = [f"{j},{lab}," for j, lab in enumerate(labels)]
+    for trace in summary.traces:
+        for it, theta in enumerate(trace.theta_history.tolist()):
+            head = f"{trace.restart_index},{it},"
+            lines.extend(f"{head}{cell}{v!r}\n" for cell, v in zip(cells, theta))
+    return "".join(lines)
 
 
 def _evaluator(cfg: ExperimentConfig, m: int) -> CostEvaluator:
@@ -363,12 +368,8 @@ def run_compile(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord
          "final_theta": [float(v) for v in summary.best.final_theta],
          "labels": labels,
          "restart_seeds": summary.seeds},
-        {"training_curve.csv": (
-            ["restart", "iteration", "cost", "grad_norm_or_spread", "elapsed_ms"],
-            _training_rows(summary)),
-         "parameter_trajectory.csv": (
-            ["restart", "iteration", "param_index", "label", "value"],
-            _trajectory_rows(summary, labels)),
+        {"training_curve.csv": _training_csv(summary),
+         "parameter_trajectory.csv": _trajectory_csv(summary, labels),
          "final_parameters.txt": format_parameters(spec, summary.best.final_theta)})
 
 
@@ -395,7 +396,7 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     return _write_run(
         cfg, run_dir,
         {"target": cfg.target, "depths": list(depths), "per_m": per_m},
-        {"trotter_sweep.csv": (
+        {"trotter_sweep.csv": _csv(
             ["m", "mean_fidelity", "std_fidelity", "mean_fidelity_converged",
              "std_fidelity_converged", "n_converged", "best_fidelity"],
             rows)})
@@ -430,7 +431,7 @@ def run_coherent_noise_sweep(cfg: ExperimentConfig,
     }
     return _write_run(
         cfg, run_dir, results,
-        {"noise_sweep.csv": (
+        {"noise_sweep.csv": _csv(
             ["noise_kind", "mode", "delta", "mean_fidelity", "std_fidelity", "samples"],
             rows)})
 
@@ -493,7 +494,7 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
         {"target": cfg.target, "m": cfg.single_m,
          "compiled_cost": float(summary.best.final_cost),
          "warm_start": cfg.warm_start, "per_point": per_point},
-        {"damping_sweep.csv": (["p", "mean_fidelity", "std_fidelity", "restarts"], rows)})
+        {"damping_sweep.csv": _csv(["p", "mean_fidelity", "std_fidelity", "restarts"], rows)})
 
 
 def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
@@ -516,7 +517,7 @@ def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRec
     return _write_run(
         cfg, run_dir,
         {"target": cfg.target, "samples": cfg.grad_samples, "per_m": per_m},
-        {"grad_stats.csv": (
+        {"grad_stats.csv": _csv(
             ["m", "param_index", "label", "grad_mean", "grad_variance"], rows)})
 
 

@@ -17,17 +17,29 @@ the classic simplex method with reflection/expansion/contraction/shrink
 coefficients 1, 2, 0.5, 0.5.  Every iteration of either method appends a
 trace record (cost, gradient norm or simplex spread, wall time), which
 downstream tooling writes out as training curves.
+
+Each method is written once, as an ask/tell generator: it yields
+("cost", x) or ("grad", x) and is sent the value back, and its return
+value is the OptimizationTrace.  `lbfgs_minimize` and
+`nelder_mead_minimize` drive one generator with the callables they are
+given.  `multi_restart` drives up to `workers` restarts in lockstep
+(default: all of them) and answers each round's requests with one
+stacked `costs` call and one stacked `gradients` call of the evaluator.
+A driver that receives a non-finite cost or gradient raises
+NumericalFailure naming the restart.  A trace's `elapsed_ms` counts from
+the restart's first step; in lockstep that is the start of the shared
+run, so it includes the time spent on the other restarts.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .hamiltonian import wrap_angles
 from .seeding import derive_rng
 
@@ -158,6 +170,26 @@ class _Recorder:
         )
 
 
+def _checked(kind: str, value, restart_index: int):
+    """A requested cost (float) or gradient (float array); NumericalFailure if not finite."""
+    value = float(value) if kind == "cost" else np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise NumericalFailure(f"restart {restart_index}: the {kind} is not finite")
+    return value
+
+
+def _drive(steps, fun, grad, restart_index: int) -> OptimizationTrace:
+    """Run one optimizer generator to its end, answering each request by a call."""
+    answer = {"cost": fun, "grad": grad}
+    reply = None
+    while True:
+        try:
+            kind, x = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = _checked(kind, answer[kind](x), restart_index)
+
+
 def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
                    restart_index: int = 0,
                    rng: np.random.Generator | None = None) -> OptimizationTrace:
@@ -177,12 +209,18 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
     escape, or the iteration budget ran out after an escape),
     "line-search-failure" (no Armijo step within MAX_HALVINGS halvings),
     and "max-iterations".  The best point seen is returned; converged is
-    True only when its cost meets the goal.
+    True only when its cost meets the goal.  A non-finite value from
+    `fun` or `grad` raises NumericalFailure.
     """
+    return _drive(_lbfgs_steps(x0, cfg, restart_index, rng), fun, grad, restart_index)
+
+
+def _lbfgs_steps(x0, cfg, restart_index, rng):
+    """lbfgs_minimize as an ask/tell generator (see the module docstring)."""
     rec = _Recorder()
     x = wrap_angles(np.asarray(x0, dtype=float))
-    f = float(fun(x))
-    g = np.asarray(grad(x), dtype=float)
+    f = yield "cost", x
+    g = yield "grad", x
     n_evals = 1
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -212,8 +250,8 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
             return done("stalled" if escaped else "max-iterations")
         if stalled:
             x = wrap_angles(best_x + rng.normal(0.0, KICK_SIGMA, best_x.size))
-            f = float(fun(x))
-            g = np.asarray(grad(x), dtype=float)
+            f = yield "cost", x
+            g = yield "grad", x
             n_evals += 1
             s_hist, y_hist, rho_hist = [], [], []
             escaped = True
@@ -242,7 +280,7 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
             alpha = 1.0
             f_new = None
             for _ in range(MAX_HALVINGS):
-                f_try = float(fun(x + alpha * d))
+                f_try = yield "cost", x + alpha * d
                 n_evals += 1
                 if f_try <= f + ARMIJO_C1 * alpha * slope:
                     f_new = f_try
@@ -254,7 +292,7 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
             # wrapped iterates, which jumps by 2*pi across the seam
             s = alpha * d
             x = wrap_angles(x + s)
-            g_new = np.asarray(grad(x), dtype=float)
+            g_new = yield "grad", x
             y = g_new - g
             sy = np.dot(s, y)
             if sy > CURVATURE_EPS:
@@ -281,8 +319,13 @@ def nelder_mead_minimize(fun, x0: np.ndarray, cfg: OptimizerConfig,
     max_iters iterations.  The best vertex is returned (wrapped); its cost
     never increases between iterations.  As with L-BFGS, converged is True
     only when the cost goal was met; a collapsed simplex above it counts
-    as a stall.
+    as a stall.  A non-finite value from `fun` raises NumericalFailure.
     """
+    return _drive(_nelder_mead_steps(x0, cfg, restart_index), fun, None, restart_index)
+
+
+def _nelder_mead_steps(x0, cfg, restart_index):
+    """nelder_mead_minimize as an ask/tell generator (see the module docstring)."""
     x0 = np.asarray(x0, dtype=float)
     q = x0.size
     verts = [x0.copy()]
@@ -290,7 +333,9 @@ def nelder_mead_minimize(fun, x0: np.ndarray, cfg: OptimizerConfig,
         v = x0.copy()
         v[j] += cfg.simplex_step
         verts.append(v)
-    fvals = [float(fun(v)) for v in verts]
+    fvals = []
+    for v in verts:
+        fvals.append((yield "cost", v))
     n_evals = q + 1
     rec = _Recorder()
 
@@ -311,11 +356,11 @@ def nelder_mead_minimize(fun, x0: np.ndarray, cfg: OptimizerConfig,
         centroid = np.mean(verts[:-1], axis=0)
         worst = verts[-1]
         xr = centroid + (centroid - worst)
-        fr = float(fun(xr))
+        fr = yield "cost", xr
         n_evals += 1
         if fr < fvals[0]:
             xe = centroid + 2.0 * (xr - centroid)
-            fe = float(fun(xe))
+            fe = yield "cost", xe
             n_evals += 1
             if fe < fr:
                 verts[-1], fvals[-1] = xe, fe
@@ -328,7 +373,7 @@ def nelder_mead_minimize(fun, x0: np.ndarray, cfg: OptimizerConfig,
                 xc = centroid + 0.5 * (xr - centroid)
             else:
                 xc = centroid + 0.5 * (worst - centroid)
-            fc = float(fun(xc))
+            fc = yield "cost", xc
             n_evals += 1
             if fc < min(fr, fvals[-1]):
                 verts[-1], fvals[-1] = xc, fc
@@ -336,7 +381,7 @@ def nelder_mead_minimize(fun, x0: np.ndarray, cfg: OptimizerConfig,
                 best = verts[0]
                 for i in range(1, q + 1):
                     verts[i] = best + 0.5 * (verts[i] - best)
-                    fvals[i] = float(fun(verts[i]))
+                    fvals[i] = yield "cost", verts[i]
                 n_evals += q
         verts, fvals = order()
         rec.add(fvals[0], fvals[-1] - fvals[0], verts[0])
@@ -382,32 +427,63 @@ class RestartSummary:
         return out
 
 
-def run_single_restart(evaluator, init: InitScheme, cfg: OptimizerConfig,
-                       index: int) -> OptimizationTrace:
-    """One restart with its counter-derived seed; used serially or from a pool."""
+def _restart_steps(evaluator, init: InitScheme, cfg: OptimizerConfig, index: int):
+    """The optimizer generator of one restart, started at its counter-derived draw."""
     rng = derive_rng(init.seed, index)
     theta0 = init.sample(rng, evaluator.circuit.q)
     if cfg.algorithm == "lbfgs":
         # the stall kicks continue the restart's own stream
-        return lbfgs_minimize(evaluator.cost, evaluator.gradient, theta0, cfg,
-                              restart_index=index, rng=rng)
-    return nelder_mead_minimize(evaluator.cost, theta0, cfg, restart_index=index)
+        return _lbfgs_steps(theta0, cfg, index, rng)
+    return _nelder_mead_steps(theta0, cfg, index)
+
+
+def run_single_restart(evaluator, init: InitScheme, cfg: OptimizerConfig,
+                       index: int) -> OptimizationTrace:
+    """One restart with its counter-derived seed, through `cost` and `gradient`."""
+    return _drive(_restart_steps(evaluator, init, cfg, index),
+                  evaluator.cost, evaluator.gradient, index)
 
 
 def multi_restart(evaluator, init: InitScheme, cfg: OptimizerConfig,
-                  workers: int = 1) -> RestartSummary:
+                  workers: int | None = None) -> RestartSummary:
     """Run cfg.restarts independent optimizations and keep them all.
 
-    Per-restart seeds derive from (init.seed, restart index), so results do
-    not depend on scheduling; restarts may run on a thread pool.
+    Up to `workers` restarts (default: all of them) advance together in
+    rounds: each round answers every pending cost request with one
+    `evaluator.costs` call, then every pending gradient request with one
+    `evaluator.gradients` call, and a finished restart hands its place to
+    the next.  Per-restart seeds derive from (init.seed, restart index) and
+    each stacked row equals its single-vector value bit for bit, so results
+    do not depend on `workers`; workers=1 runs the restarts one at a time.
     """
-    indices = list(range(cfg.restarts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(
-                lambda i: run_single_restart(evaluator, init, cfg, i), indices))
-    else:
-        traces = [run_single_restart(evaluator, init, cfg, i) for i in indices]
-    best_index = int(np.argmin([t.final_cost for t in traces]))
-    return RestartSummary(traces=traces, best_index=best_index,
-                          seeds=[[init.seed, i] for i in indices])
+    width = cfg.restarts if workers is None else int(workers)
+    if width < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    waiting = iter(range(cfg.restarts))
+    active: dict[int, tuple] = {}  # restart index -> (generator, its request)
+    traces: dict[int, OptimizationTrace] = {}
+
+    def advance(index, steps, reply):
+        try:
+            active[index] = (steps, steps.send(reply))
+        except StopIteration as done:
+            del active[index]
+            traces[index] = done.value
+
+    while True:
+        for index in itertools.islice(waiting, width - len(active)):
+            advance(index, _restart_steps(evaluator, init, cfg, index), None)
+        if not active:
+            break
+        # a restart whose cost is answered may ask for its gradient in the same round
+        for kind, batch in (("cost", evaluator.costs), ("grad", evaluator.gradients)):
+            asking = [(index, steps, x) for index, (steps, (k, x)) in active.items()
+                      if k == kind]
+            if asking:
+                values = batch(np.array([x for _, _, x in asking]))
+                for (index, steps, _), value in zip(asking, values):
+                    advance(index, steps, _checked(kind, value, index))
+    ordered = [traces[i] for i in range(cfg.restarts)]
+    best_index = int(np.argmin([t.final_cost for t in ordered]))
+    return RestartSummary(traces=ordered, best_index=best_index,
+                          seeds=[[init.seed, i] for i in range(cfg.restarts)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spingate.ansatz import build_hva, circuit_unitary
+from spingate.ansatz import build_hva, circuit_unitary, gate_matrices
 from spingate.cost import COST_CHUNK_ROWS, CostEvaluator
 from spingate.errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
                              NumericalFailure)
@@ -157,11 +157,20 @@ def test_gradient_checks(spec3, rng):
     noisy = CostEvaluator(c, toffoli(), mode="hs-test-density", plan=plan)
     with pytest.raises(NoisyModeUnsupported):
         noisy.gradient(np.zeros(15))
+    with pytest.raises(NoisyModeUnsupported):
+        noisy.gradients(np.zeros((2, 15)))
     ev = make_eval(spec3)
     with pytest.raises(ValueError):
         ev.gradient(np.zeros(15), method="forward")
     with pytest.raises(LengthMismatch):
         ev.cost(np.zeros(16))
+    for bad in (np.zeros(15), np.zeros((3, 16))):
+        with pytest.raises(LengthMismatch):
+            ev.gradients(bad)
+    stack = np.zeros((3, 15))
+    stack[1, 4] = np.nan
+    with pytest.raises(NumericalFailure):
+        ev.gradients(stack)
 
 
 def test_evaluator_validation(spec3):
@@ -220,6 +229,43 @@ def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, s
     stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
     single = np.array([ev.cost(row) for row in stack])
     assert np.array_equal(ev.costs(stack), single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(target_name=st.sampled_from(["toffoli", "fredkin"]),
+       m=st.sampled_from([1, 6, 12]),
+       rows=st.integers(min_value=1, max_value=40),
+       scale=st.sampled_from([1.0, np.pi, 30.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1)
+@example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2)
+def test_stacked_gradients_equal_single_gradients_bitwise(target_name, m, rows, scale, seed):
+    # rows up to 40 cross the chunk edges; |angles| up to 30 exercise wrapping
+    ev = _stack_evaluator(target_name, m)
+    stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
+    single = np.array([ev.gradient(row) for row in stack])
+    assert np.array_equal(ev.gradients(stack), single)
+    assert np.array_equal(single[0], _adjoint_gradient_one_vector(ev, stack[0]))
+
+
+def _adjoint_gradient_one_vector(ev, theta):
+    """The shared-layer adjoint sweep for one vector, with unstacked products."""
+    circuit, v_dag, d = ev.circuit, ev.target.matrix.conj().T, 8
+    gs = gate_matrices(circuit, wrap_angles(theta))
+    fwd = np.empty_like(gs)
+    fwd[0] = gs[0]
+    for j in range(1, len(gs)):
+        fwd[j] = gs[j] @ fwd[j - 1]
+    powers = [np.eye(d, dtype=complex)]
+    for _ in range(circuit.m - 1):
+        powers.append(fwd[-1] @ powers[-1])
+    t_val = np.trace(v_dag @ fwd[-1] @ powers[-1])
+    back = np.empty_like(gs)
+    back[-1] = sum(powers[l] @ v_dag @ powers[circuit.m - 1 - l] for l in range(circuit.m))
+    for j in range(len(gs) - 2, -1, -1):
+        back[j] = back[j + 1] @ gs[j + 1]
+    dt = -1j * circuit.t0 * np.einsum("jab,jbc,jca->j", circuit.spec.matrices(), fwd, back)
+    return -(2.0 / (d * d)) * (np.conj(t_val) * dt).real
 
 
 def test_costs_other_modes_follow_cost(spec3, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from spingate.ansatz import build_hva
 from spingate.cost import CostEvaluator
-from spingate.errors import ConfigError
+from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec
 from spingate.optimize import (InitScheme, OptimizerConfig, RestartSummary,
                                lbfgs_minimize, multi_restart,
@@ -233,7 +233,7 @@ def test_multi_restart_deterministic(small_evaluator):
 
 
 def test_multi_restart_threaded_matches_serial(small_evaluator):
-    """Restart draws are counter-derived, so a thread pool changes nothing."""
+    """Restart draws are counter-derived, so advancing 3 at a time changes nothing."""
     init = InitScheme(seed=11)
     cfg = OptimizerConfig(restarts=4, max_iters=15)
     serial = multi_restart(small_evaluator, init, cfg, workers=1)
@@ -245,7 +245,7 @@ def test_multi_restart_threaded_matches_serial(small_evaluator):
 
 
 def test_multi_restart_escapes_match_serial(small_evaluator):
-    """Kicks draw from each restart's own stream, so threads change nothing."""
+    """Kicks draw from each restart's own stream, so lockstep changes nothing."""
     init = InitScheme(seed=5)
     cfg = OptimizerConfig(restarts=4, max_iters=60)
     serial = multi_restart(small_evaluator, init, cfg, workers=1)
@@ -300,3 +300,94 @@ def test_run_single_restart_matches_manual(small_evaluator):
                          theta0, cfg, restart_index=4)
     assert np.array_equal(tr.final_theta, tr2.final_theta)
     assert tr.restart_index == 4
+
+
+def assert_same_traces(a, b):
+    for ta, tb in zip(a.traces, b.traces, strict=True):
+        for name in ("costs", "metric", "theta_history", "final_theta"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name))
+        assert (ta.stop_reason, ta.n_evals, ta.final_cost) == (tb.stop_reason, tb.n_evals,
+                                                             tb.final_cost)
+    assert a.best_index == b.best_index
+
+
+def test_lockstep_matches_one_at_a_time_when_restarts_finish_apart():
+    ev = CostEvaluator(build_hva(heisenberg_spec(3), 3), toffoli())
+    init = InitScheme(seed=5)
+    cfg = OptimizerConfig(restarts=4, max_iters=60, cost_tolerance=0.2)
+    lockstep = multi_restart(ev, init, cfg)
+    serial = multi_restart(ev, init, cfg, workers=1)
+    assert_same_traces(lockstep, serial)
+    # one restart converges rounds before the others, which kick on to the budget
+    early = [t for t in lockstep.traces if t.stop_reason == "cost-tolerance"]
+    assert len(early) == 1 and early[0].iterations < cfg.max_iters
+    for t in lockstep.traces:
+        if t is not early[0]:
+            assert t.iterations == cfg.max_iters and np.any(np.diff(t.costs) > 0.0)
+
+
+def test_nelder_mead_lockstep_matches_one_at_a_time(small_evaluator):
+    init = InitScheme(seed=2)
+    cfg = OptimizerConfig(algorithm="nelder-mead", restarts=3, max_iters=120)
+    lockstep = multi_restart(small_evaluator, init, cfg)
+    serial = multi_restart(small_evaluator, init, cfg, workers=1)
+    assert_same_traces(lockstep, serial)
+    assert all(t.algorithm == "nelder-mead" for t in lockstep.traces)
+
+
+def test_lockstep_counts_the_same_evaluations_in_fewer_calls():
+    init = InitScheme(seed=9)
+    cfg = OptimizerConfig(restarts=5, max_iters=20)
+    counts = {}
+    for workers in (None, 1):
+        ev = CostEvaluator(build_hva(heisenberg_spec(3), 2), toffoli())
+        rows = []
+        ev.costs = lambda thetas, ev=ev, rows=rows: (
+            rows.append(len(thetas)), CostEvaluator.costs(ev, thetas))[1]
+        summary = multi_restart(ev, init, cfg, workers=workers)
+        counts[workers] = (ev.eval_count, len(rows), max(rows))
+        assert ev.eval_count == sum(rows) == sum(t.n_evals for t in summary.traces)
+    assert counts[None][0] == counts[1][0]
+    assert counts[None][1] < counts[1][1]
+    assert counts[None][2] == cfg.restarts and counts[1][2] == 1
+
+
+def test_workers_must_be_positive(small_evaluator):
+    with pytest.raises(ValueError):
+        multi_restart(small_evaluator, InitScheme(), OptimizerConfig(restarts=2), workers=0)
+
+
+def test_lbfgs_non_finite_values_raise():
+    fun, grad = quadratic([0.3, -0.4])
+    nan_fun = lambda x: fun(x) if np.all(np.asarray(x) == 0.0) else float("nan")
+    with pytest.raises(NumericalFailure, match="restart 7: the cost"):
+        lbfgs_minimize(nan_fun, grad, np.zeros(2), OptimizerConfig(), restart_index=7)
+    inf_grad = lambda x: np.array([np.inf, 0.0])
+    with pytest.raises(NumericalFailure, match="restart 0: the grad"):
+        lbfgs_minimize(fun, inf_grad, np.zeros(2), OptimizerConfig())
+    with pytest.raises(NumericalFailure, match="restart 2: the cost"):
+        nelder_mead_minimize(lambda x: float("nan"), np.zeros(2),
+                             OptimizerConfig(algorithm="nelder-mead"), restart_index=2)
+
+
+class _NanAfter:
+    """An evaluator whose last stacked cost turns NaN after `calls` calls of `costs`."""
+
+    def __init__(self, evaluator, calls):
+        self.inner, self.calls, self.circuit = evaluator, calls, evaluator.circuit
+
+    def costs(self, thetas):
+        out = self.inner.costs(thetas)
+        self.calls -= 1
+        if self.calls < 0:
+            out[-1] = np.nan
+        return out
+
+    def gradients(self, thetas):
+        return self.inner.gradients(thetas)
+
+
+def test_multi_restart_non_finite_cost_names_the_restart(small_evaluator):
+    ev = _NanAfter(small_evaluator, calls=3)
+    with pytest.raises(NumericalFailure, match="restart 2: the cost is not finite"):
+        multi_restart(ev, InitScheme(seed=4), OptimizerConfig(restarts=3, max_iters=10))
