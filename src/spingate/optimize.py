@@ -456,7 +456,7 @@ def multi_restart(evaluator, init: InitScheme, cfg: OptimizerConfig,
     each stacked row equals its single-vector value bit for bit, so results
     do not depend on `workers`; workers=1 runs the restarts one at a time.
     """
-    width = cfg.restarts if workers is None else int(workers)
+    width = cfg.restarts if workers is None else workers
     if width < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     waiting = iter(range(cfg.restarts))

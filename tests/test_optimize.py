@@ -335,15 +335,21 @@ def test_nelder_mead_lockstep_matches_one_at_a_time(small_evaluator):
     assert all(t.algorithm == "nelder-mead" for t in lockstep.traces)
 
 
+class _StackSizes(CostEvaluator):
+    """Records the row count of every `costs` call."""
+
+    def costs(self, thetas):
+        self.rows.append(len(thetas))
+        return super().costs(thetas)
+
+
 def test_lockstep_counts_the_same_evaluations_in_fewer_calls():
     init = InitScheme(seed=9)
     cfg = OptimizerConfig(restarts=5, max_iters=20)
     counts = {}
     for workers in (None, 1):
-        ev = CostEvaluator(build_hva(heisenberg_spec(3), 2), toffoli())
-        rows = []
-        ev.costs = lambda thetas, ev=ev, rows=rows: (
-            rows.append(len(thetas)), CostEvaluator.costs(ev, thetas))[1]
+        ev = _StackSizes(build_hva(heisenberg_spec(3), 2), toffoli())
+        ev.rows = rows = []
         summary = multi_restart(ev, init, cfg, workers=workers)
         counts[workers] = (ev.eval_count, len(rows), max(rows))
         assert ev.eval_count == sum(rows) == sum(t.n_evals for t in summary.traces)
