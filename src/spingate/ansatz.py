@@ -101,6 +101,13 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
+def _factors(circuit: AnsatzCircuit, angles: np.ndarray, paulis: np.ndarray) -> np.ndarray:
+    """cos(a) I - i sin(a) P for angles (..., k) and their k Pauli strings."""
+    eye = _identity(2 ** circuit.n)
+    return (np.cos(angles)[..., None, None] * eye
+            - 1j * np.sin(angles)[..., None, None] * paulis)
+
+
 def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Per-term full-register factor matrices for one layer.
 
@@ -110,27 +117,52 @@ def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     a = theta_j * t0.
     """
     theta = _check_theta(circuit, theta)
-    a = theta * circuit.t0
-    paulis = circuit.spec.matrices()
-    eye = _identity(2 ** circuit.n)
-    return (np.cos(a)[..., None, None] * eye
-            - 1j * np.sin(a)[..., None, None] * paulis)
+    return _factors(circuit, theta * circuit.t0, circuit.spec.matrices())
+
+
+def _ordered_product(factors) -> np.ndarray:
+    """factors[-1] @ ... @ factors[0], multiplied left onto the first."""
+    u = factors[0]
+    for g in factors[1:]:
+        u = g @ u
+    return u
+
+
+def _shared_columns(rows: np.ndarray) -> int:
+    """How many leading columns of a (B, Q) stack hold row 0's bits in every row."""
+    if len(rows) == 0:
+        return 0
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    differs = (bits != bits[0]).any(axis=0)
+    return int(differs.argmax()) if differs.any() else rows.shape[1]
 
 
 def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Ordered product of one layer's factors (term 1 applied first).
 
-    theta of shape (..., Q) gives (..., 2^n, 2^n).  Stacked products run
-    the same per-matrix multiplication as a single vector's, so each slice
-    equals the unstacked result bit for bit.
+    theta of shape (..., Q) gives (..., 2^n, 2^n).  For a stack, the k
+    leading columns that every row shares bit for bit (a noise realization
+    shifts only some trailing terms) give factors and a partial product
+    that are built once, from row 0 as a single vector; each row then
+    continues from that product with its own factors k..Q-1.  With k = 0
+    every row builds all its factors.  Stacked products run the same
+    per-matrix multiplication as a single vector's, so each slice equals
+    the unstacked result bit for bit.
     """
-    gs = gate_matrices(circuit, theta)
-    if gs.ndim > 3:  # a single vector's factors already lead with the term axis
-        gs = np.moveaxis(gs, -3, 0)
-    u = gs[0]
-    for g in gs[1:]:
-        u = g @ u
-    return u
+    theta = _check_theta(circuit, theta)
+    if theta.ndim == 1:
+        return _ordered_product(gate_matrices(circuit, theta))
+    rows = theta.reshape(-1, circuit.q)
+    k = _shared_columns(rows)
+    angles = rows * circuit.t0
+    paulis = circuit.spec.matrices()
+    factors = list(np.moveaxis(_factors(circuit, angles[:, k:], paulis[k:]), 1, 0))
+    if k:
+        factors.insert(0, _ordered_product(_factors(circuit, angles[0, :k], paulis[:k])))
+    u = _ordered_product(factors)
+    if k == circuit.q:  # every row is row 0
+        u = np.tile(u, (len(rows), 1, 1))
+    return u.reshape(theta.shape[:-1] + u.shape[-2:])
 
 
 def circuit_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:

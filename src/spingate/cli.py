@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import ConfigError, SpingateError, UnknownGate
+from .errors import ConfigError, SpingateError
 from .harness import (DEFAULT_MASTER_SEED, ExperimentConfig, _parse_int_list,
                       load_config, run_experiment)
 
@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         record = run_experiment(cfg)
-    except (ConfigError, UnknownGate, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SpingateError as exc:

@@ -54,6 +54,10 @@ DEFAULT_DAMPING_GRID = (0.0, 0.005, 0.01, 0.015, 0.02)
 # longest grid a start:stop:step spec may expand to; a larger count is a
 # typo, and expanding it first could exhaust memory
 MAX_GRID_POINTS = 10_000
+# most realizations a sampled noise sweep may average per grid point; the
+# paper's curves average a few hundred, a larger count is a typo, and each
+# point's (samples, Q) parameter stack is built at once
+MAX_NOISE_SAMPLES = 100_000
 # a start:stop:step spec must reach stop within this many steps; float
 # rounding of a spec that does is orders of magnitude below it
 GRID_STOP_TOLERANCE = 1e-9
@@ -107,8 +111,13 @@ class ExperimentConfig:
         for k in self.noise_kinds:
             if k not in NOISE_KINDS:
                 raise ConfigError(f"unknown noise kind {k!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.noise_samples < 1 or self.grad_samples < 1 or self.damping_restarts < 1:
             raise ConfigError("sample and restart counts must be positive")
+        if self.noise_samples > MAX_NOISE_SAMPLES:
+            raise ConfigError(f"noise samples must be at most {MAX_NOISE_SAMPLES}, "
+                              f"got {self.noise_samples!r}")
         if not 0 <= self.warm_sigma < np.inf:
             raise ConfigError(f"warm_sigma must be finite and >= 0, got {self.warm_sigma!r}")
         if not all(0 <= p <= 1 for p in self.damping_grid):
@@ -346,9 +355,18 @@ def _trajectory_csv(summary: RestartSummary, labels: list[str]) -> str:
 
 
 def _evaluator(cfg: ExperimentConfig, m: int) -> CostEvaluator:
-    """Exact-trace cost of the configured target on the m-layer circuit."""
-    target = resolve_target(cfg.target)
-    return CostEvaluator(build_hva(heisenberg_spec(target.n), m), target, mode="exact-trace")
+    """Exact-trace cost of the configured target on the m-layer circuit.
+
+    A target that names no gate, or a matrix file that does not parse, is
+    not unitary or is too small for a chain, raises ConfigError.  Every
+    runner builds its first evaluator before it compiles anything.
+    """
+    try:
+        target = resolve_target(cfg.target)
+        spec = heisenberg_spec(target.n)
+    except ValueError as exc:
+        raise ConfigError(f"target {cfg.target!r}: {exc}") from exc
+    return CostEvaluator(build_hva(spec, m), target, mode="exact-trace")
 
 
 def _depths(cfg: ExperimentConfig) -> tuple[int, ...]:

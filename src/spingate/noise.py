@@ -24,7 +24,7 @@ import numpy as np
 from .cost import CostEvaluator
 from .errors import NegativeAmplitude
 from .hamiltonian import HamiltonianSpec
-from .seeding import derive_rng, derive_subseed
+from .seeding import derive_subseed, first_randoms
 
 NOISE_KINDS = ("charge", "nuclear")
 NOISE_MODES = ("deterministic-shift", "uniform-sample")
@@ -74,9 +74,12 @@ def _shifted_stack(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpe
                    realizations) -> np.ndarray:
     """One row per realization: theta with that realization's shift added.
 
-    Deterministic mode shifts by noise.delta; sampled mode draws one
-    u ~ Uniform[0, delta] per realization r from (noise.seed, r).  A zero
-    amplitude leaves every row a bit-identical copy of theta.
+    Deterministic mode shifts by noise.delta.  Sampled mode shifts row r
+    by u = delta * first_randoms(noise.seed, r), which equals
+    derive_rng(noise.seed, r).uniform(0.0, delta) bit for bit: one stream
+    per (seed, realization), drawn for all realizations at once without
+    building a generator.  A zero amplitude leaves every row a
+    bit-identical copy of theta.
     """
     stack = np.tile(np.asarray(theta, dtype=float), (len(realizations), 1))
     if noise.delta == 0.0:
@@ -84,8 +87,7 @@ def _shifted_stack(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpe
     if noise.mode == "deterministic-shift":
         shifts = np.full(len(realizations), noise.delta)
     else:
-        shifts = np.array([derive_rng(noise.seed, r).uniform(0.0, noise.delta)
-                           for r in realizations])
+        shifts = noise.delta * first_randoms(noise.seed, realizations)
     stack[:, noise.affected_indices(spec)] += shifts[:, None]
     return stack
 

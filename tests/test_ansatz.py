@@ -138,3 +138,17 @@ def test_stacked_parameters_broadcast(spec3, rng):
             assert np.array_equal(gs[i, j], gate_matrices(c, stack[i, j]))
             assert np.array_equal(ls[i, j], layer_unitary(c, stack[i, j]))
             assert np.array_equal(us[i, j], circuit_unitary(c, stack[i, j]))
+
+
+def test_layer_unitary_with_shared_leading_columns(spec3, rng):
+    # rows that share their first k columns continue from one partial
+    # product built from row 0; every slice still equals its single-vector
+    # result bit for bit, k = 15 included (all rows equal)
+    c = build_hva(spec3, 2)
+    base = rng.uniform(-4.0, 4.0, size=15)
+    for k in (0, 1, 9, 14, 15):
+        stack = np.tile(base, (4, 1))
+        stack[1:, k:] += rng.uniform(0.1, 1.0, size=(3, 15 - k))
+        for row, lu in zip(stack, layer_unitary(c, stack)):
+            assert lu.tobytes() == layer_unitary(c, row).tobytes()
+    assert layer_unitary(c, np.zeros((0, 15))).shape == (0, 8, 8)

@@ -1,12 +1,17 @@
 """End-to-end command-line runs with tiny budgets, plus the error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from spingate import cli
 from spingate.cli import main
 from spingate.errors import NumericalFailure
+from spingate.harness import MAX_NOISE_SAMPLES
 
 
 def find_record(out_dir):
@@ -213,3 +218,57 @@ def test_bad_damping_values_exit_2_before_compiling(tmp_path, capsys, extra):
     assert main(["damping-sweep", "--config", str(ini), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2_before_compiling(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compile", "--m", "1", "--restarts", "1", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_master_seed_in_ini_exits_2_before_compiling(tmp_path, capsys):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text().replace("master_seed = 3", "master_seed = -3"))
+    out = tmp_path / "out"
+    assert main(["compile", "--config", str(ini), "--out", str(out)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_too_many_noise_samples_exit_2_before_compiling(tmp_path, capsys):
+    ini = write_tiny_ini(tmp_path / "exp.ini",
+                         extra=f"mode = uniform-sample\nsamples = {MAX_NOISE_SAMPLES + 1}\n")
+    out = tmp_path / "out"
+    assert main(["noise-sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert "noise samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    "1,0 1,x\n0,0 1,0\n",                      # an entry that is not a number
+    "1,0 1,0\n0,0 1,0\n",                      # 2x2, not unitary
+    "1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n",  # 3x3, not a power of 2
+    "1,0 0,0\n0,0 1,0\n",                      # unitary, but one qubit: no chain
+])
+def test_bad_target_file_exits_2_before_compiling(tmp_path, capsys, rows):
+    target = tmp_path / "gate.txt"
+    target.write_text(rows)
+    out = tmp_path / "out"
+    assert main(["compile", "--m", "1", "--restarts", "1", "--target", str(target),
+                 "--out", str(out)]) == 2
+    assert "config error: target" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_m_spingate_runs_the_cli():
+    import spingate
+
+    src = str(Path(spingate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "spingate", "compile", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "--target" in done.stdout

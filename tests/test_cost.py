@@ -231,6 +231,29 @@ def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, s
     assert np.array_equal(ev.costs(stack), single)
 
 
+@settings(max_examples=80, deadline=None)
+@given(target_name=st.sampled_from(["toffoli", "fredkin"]),
+       m=st.sampled_from([1, 5, 12]),
+       shared=st.integers(min_value=0, max_value=15),
+       rows=st.integers(min_value=1, max_value=40),
+       scale=st.sampled_from([1.0, np.pi, 30.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(target_name="fredkin", m=5, shared=9, rows=2 * COST_CHUNK_ROWS + 3, scale=np.pi,
+         seed=1)
+@example(target_name="toffoli", m=12, shared=15, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2)
+@example(target_name="toffoli", m=1, shared=2, rows=3, scale=1.0, seed=3)
+def test_costs_with_shared_leading_columns_equal_single_costs_bitwise(
+        target_name, m, shared, rows, scale, seed):
+    # every row holds row 0's first `shared` coordinates, as a noise stack
+    # does before its first shifted term; shared = 15 repeats one vector
+    ev = _stack_evaluator(target_name, m)
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-scale, scale, size=(rows, 15))
+    stack[:, :shared] = stack[0, :shared]
+    single = np.array([ev.cost(row) for row in stack])
+    assert ev.costs(stack).tobytes() == single.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(target_name=st.sampled_from(["toffoli", "fredkin"]),
        m=st.sampled_from([1, 6, 12]),

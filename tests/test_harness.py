@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from spingate.errors import ConfigError
 from spingate.hamiltonian import heisenberg_spec, parse_parameters
 from spingate.harness import (_SCHEMA, DEFAULT_MASTER_SEED, EXPERIMENT_KINDS,
-                              MAX_GRID_POINTS, ExperimentConfig, _parse_float_list,
-                              _parse_int_list, config_to_dict, load_config,
-                              run_compile,
+                              MAX_GRID_POINTS, MAX_NOISE_SAMPLES, ExperimentConfig,
+                              _parse_float_list, _parse_int_list, config_to_dict,
+                              load_config, run_compile,
                               run_coherent_noise_sweep, run_damping_sweep,
                               run_experiment, run_grad_stats,
                               run_trotter_sweep)
@@ -54,6 +54,11 @@ class TestConfigValidation:
         cfg2 = dataclasses.replace(cfg, master_seed=9)
         assert cfg2.init.seed == 9
 
+    def test_negative_master_seed(self):
+        with pytest.raises(ConfigError, match="master_seed"):
+            ExperimentConfig(master_seed=-3)
+        assert ExperimentConfig(master_seed=0).master_seed == 0
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="anneal")
@@ -75,6 +80,9 @@ class TestConfigValidation:
             ExperimentConfig(noise_kinds=("charge", "thermal"))
         with pytest.raises(ConfigError):
             ExperimentConfig(noise_samples=0)
+        with pytest.raises(ConfigError, match="at most"):
+            ExperimentConfig(noise_samples=MAX_NOISE_SAMPLES + 1)
+        assert ExperimentConfig(noise_samples=MAX_NOISE_SAMPLES).noise_samples == MAX_NOISE_SAMPLES
         with pytest.raises(ConfigError, match="duplicate"):
             ExperimentConfig(noise_kinds=("charge", "charge"))
         with pytest.raises(ConfigError, match="non-empty"):

@@ -8,7 +8,7 @@ from spingate.cost import CostEvaluator
 from spingate.errors import NegativeAmplitude
 from spingate.noise import (DEFAULT_DELTA_GRID, CoherentNoise, perturb,
                             robustness_sweep)
-from spingate.seeding import derive_subseed
+from spingate.seeding import derive_rng, derive_subseed
 from spingate.targets import fredkin, toffoli
 
 
@@ -111,7 +111,11 @@ def test_robustness_sweep_grid_validation(cheap_eval):
 
 
 def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples, seed):
-    """Reference: one perturb and one cost call per realization."""
+    """Reference: one cost call per realization.
+
+    Sampled shifts come straight from each realization's generator,
+    derive_rng(noise.seed, r).uniform(0.0, delta), not through perturb.
+    """
     spec = evaluator.circuit.spec
     rows = []
     for gi, delta in enumerate(np.asarray(delta_grid, dtype=float)):
@@ -124,7 +128,10 @@ def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples
         else:
             fids = np.empty(samples)
             for r in range(samples):
-                fids[r] = 1.0 - evaluator.cost(perturb(theta_star, noise, spec, r))
+                shifted = np.array(theta_star, dtype=float)
+                shifted[noise.affected_indices(spec)] += derive_rng(
+                    noise.seed, r).uniform(0.0, delta)
+                fids[r] = 1.0 - evaluator.cost(shifted)
             rows.append({"delta": float(delta),
                          "mean_fidelity": float(fids.mean()),
                          "std_fidelity": float(fids.std()),
