@@ -1,15 +1,16 @@
 """Layered product-formula circuit generated by a parameterized chain Hamiltonian.
 
-One layer applies, in canonical term order, the factor exp(-i theta_j P_j t0)
+One layer applies, in canonical term order, the factor exp(-i theta_j P_j)
 for every term of the Hamiltonian spec; the full circuit repeats that layer
 m times with the same parameter vector (parameters are shared across layers,
 so the circuit has Q knobs regardless of depth).  In rotation-gate language
-each factor is R_alpha(2 theta_j t0) on one site or R_alpha,alpha(2 theta_j t0)
+each factor is R_alpha(2 theta_j) on one site or R_alpha,alpha(2 theta_j)
 on an adjacent pair: the conventional half-angle in the exponent means the
-applied rotation angle is twice theta_j t0.
+applied rotation angle is twice theta_j.
 
-The slice duration t0 is fixed to 1 throughout the package, which makes the
-parameters dimensionless angles with period 2*pi.
+The paper's slice duration t0 is 1, so it does not appear: the parameters
+are dimensionless angles with period 2*pi, which the cost's wrapping of
+theta relies on.
 """
 
 from __future__ import annotations
@@ -26,17 +27,11 @@ from .linalg import apply_to_qubits, kron
 
 @dataclass(frozen=True)
 class GateOp:
-    """One rotation factor of a layer.
-
-    `angle_scale` converts the shared parameter to the applied rotation
-    angle: angle = angle_scale * theta_j, with the matrix
-    exp(-i * angle/2 * P) = exp(-i * theta_j * t0 * P).
-    """
+    """One rotation factor of a layer: exp(-i theta_j P) on `qubits`."""
 
     axis: str
     qubits: tuple[int, ...]
     param_index: int
-    angle_scale: float
 
     @property
     def kind(self) -> str:
@@ -55,7 +50,6 @@ class AnsatzCircuit:
 
     spec: HamiltonianSpec
     m: int
-    t0: float
     layer: tuple[GateOp, ...]
 
     @property
@@ -74,7 +68,7 @@ class AnsatzCircuit:
         return self.m * sum(1 for g in self.layer if len(g.qubits) == 2)
 
 
-def build_hva(spec: HamiltonianSpec, m: int, t0: float = 1.0) -> AnsatzCircuit:
+def build_hva(spec: HamiltonianSpec, m: int) -> AnsatzCircuit:
     """Build the m-layer circuit for a Hamiltonian spec; m must be >= 1."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
         raise InvalidDepth(f"layer count must be a positive integer, got {m!r}")
@@ -82,9 +76,8 @@ def build_hva(spec: HamiltonianSpec, m: int, t0: float = 1.0) -> AnsatzCircuit:
     for j, term in enumerate(spec.terms):
         qubits = tuple(i + 1 for i, c in enumerate(term.letters) if c != "I")
         axis = next(c for c in term.letters if c != "I")
-        gates.append(GateOp(axis=axis, qubits=qubits, param_index=j,
-                            angle_scale=2.0 * t0))
-    return AnsatzCircuit(spec=spec, m=int(m), t0=float(t0), layer=tuple(gates))
+        gates.append(GateOp(axis=axis, qubits=qubits, param_index=j))
+    return AnsatzCircuit(spec=spec, m=int(m), layer=tuple(gates))
 
 
 def _check_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
@@ -113,11 +106,10 @@ def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
 
     theta of shape (..., Q) gives factors of shape (..., Q, 2^n, 2^n); the
     leading axes index independent parameter vectors.  Each Pauli string
-    squares to the identity, so the factor is cos(a) I - i sin(a) P with
-    a = theta_j * t0.
+    squares to the identity, so the factor is cos(theta_j) I - i sin(theta_j) P.
     """
     theta = _check_theta(circuit, theta)
-    return _factors(circuit, theta * circuit.t0, circuit.spec.matrices())
+    return _factors(circuit, theta, circuit.spec.matrices())
 
 
 def _ordered_product(factors) -> np.ndarray:
@@ -154,11 +146,10 @@ def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
         return _ordered_product(gate_matrices(circuit, theta))
     rows = theta.reshape(-1, circuit.q)
     k = _shared_columns(rows)
-    angles = rows * circuit.t0
     paulis = circuit.spec.matrices()
-    factors = list(np.moveaxis(_factors(circuit, angles[:, k:], paulis[k:]), 1, 0))
+    factors = list(np.moveaxis(_factors(circuit, rows[:, k:], paulis[k:]), 1, 0))
     if k:
-        factors.insert(0, _ordered_product(_factors(circuit, angles[0, :k], paulis[:k])))
+        factors.insert(0, _ordered_product(_factors(circuit, rows[0, :k], paulis[:k])))
     u = _ordered_product(factors)
     if k == circuit.q:  # every row is row 0
         u = np.tile(u, (len(rows), 1, 1))
@@ -193,11 +184,10 @@ def apply_circuit(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
     if first_qubit < 1 or first_qubit + circuit.n - 1 > n_reg:
         raise DimMismatch("circuit does not fit in the register at that offset")
     offset = first_qubit - 1
-    a = theta * circuit.t0
     locals_ = []
     for g in circuit.layer:
         gen = g.local_generator()
-        ang = a[g.param_index]
+        ang = theta[g.param_index]
         mat = np.cos(ang) * np.eye(gen.shape[0]) - 1j * np.sin(ang) * gen
         locals_.append((mat, tuple(q + offset for q in g.qubits)))
     out = psi

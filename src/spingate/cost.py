@@ -46,6 +46,7 @@ from .errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
                      NumericalFailure)
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
+from .seeding import derive_rng
 from .simulator import NoisyCircuitPlan, hs_test_probability
 from .targets import TargetGate
 
@@ -223,8 +224,8 @@ class CostEvaluator:
         With T = Tr(V^dag U), U = L^m and every layer sharing theta,
         dT/dtheta_j = Tr(M dL/dtheta_j) with the environment
         M = sum_l L^l V^dag L^(m-1-l).  Writing L = G_(Q-1) ... G_0 with
-        G_j = exp(-i theta_j P_j t0), dL/dtheta_j inserts -i t0 P_j after
-        G_j, so dT/dtheta_j = -i t0 Tr(P_j F_j B_j) with the prefix
+        G_j = exp(-i theta_j P_j), dL/dtheta_j inserts -i P_j after
+        G_j, so dT/dtheta_j = -i Tr(P_j F_j B_j) with the prefix
         F_j = G_j ... G_0 and the suffix B_j = M G_(Q-1) ... G_(j+1).  This
         costs O(m + Q) matrix products instead of O(mQ).  Then
         dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).  Every product is
@@ -247,8 +248,7 @@ class CostEvaluator:
         back[-1] = env
         for j in range(len(gs) - 2, -1, -1):
             back[j] = back[j + 1] @ gs[j + 1]
-        dt = -1j * circuit.t0 * np.einsum("jab,jrbc,jrca->rj",
-                                          circuit.spec.matrices(), fwd, back)
+        dt = -1j * np.einsum("jab,jrbc,jrca->rj", circuit.spec.matrices(), fwd, back)
         return -(2.0 / (d * d)) * (np.conj(t_val)[:, None] * dt).real
 
     def gradient_stats(self, samples: int, init, seed: int) -> "GradientStats":
@@ -261,7 +261,7 @@ class CostEvaluator:
         """
         if samples < 1:
             raise ValueError("need at least one sample")
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+        rng = derive_rng(seed)
         thetas = np.array([init.sample(rng, self.circuit.q) for _ in range(samples)])
         grads = self.gradients(thetas)
         return GradientStats(

@@ -38,7 +38,7 @@ from .errors import ConfigError
 from .hamiltonian import format_parameters, heisenberg_spec
 from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_grid,
                     robustness_sweep)
-from .optimize import (InitScheme, OptimizerConfig, RestartSummary,
+from .optimize import (MAX_COUNT, InitScheme, OptimizerConfig, RestartSummary,
                        multi_restart, nelder_mead_minimize)
 from .seeding import derive_rng, derive_subseed
 from .simulator import PLACEMENTS, NoisyCircuitPlan, amplitude_damping
@@ -54,10 +54,6 @@ DEFAULT_DAMPING_GRID = (0.0, 0.005, 0.01, 0.015, 0.02)
 # longest grid a start:stop:step spec may expand to; a larger count is a
 # typo, and expanding it first could exhaust memory
 MAX_GRID_POINTS = 10_000
-# most realizations a sampled noise sweep may average per grid point; the
-# paper's curves average a few hundred, a larger count is a typo, and each
-# point's (samples, Q) parameter stack is built at once
-MAX_NOISE_SAMPLES = 100_000
 # a start:stop:step spec must reach stop within this many steps; float
 # rounding of a spec that does is orders of magnitude below it
 GRID_STOP_TOLERANCE = 1e-9
@@ -115,9 +111,10 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.noise_samples < 1 or self.grad_samples < 1 or self.damping_restarts < 1:
             raise ConfigError("sample and restart counts must be positive")
-        if self.noise_samples > MAX_NOISE_SAMPLES:
-            raise ConfigError(f"noise samples must be at most {MAX_NOISE_SAMPLES}, "
-                              f"got {self.noise_samples!r}")
+        for name in ("noise_samples", "grad_samples", "damping_restarts"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ConfigError(f"{name.replace('_', ' ')} must be at most {MAX_COUNT}, "
+                                  f"got {getattr(self, name)!r}")
         if not 0 <= self.warm_sigma < np.inf:
             raise ConfigError(f"warm_sigma must be finite and >= 0, got {self.warm_sigma!r}")
         if not all(0 <= p <= 1 for p in self.damping_grid):
@@ -496,8 +493,9 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
         evaluator = CostEvaluator(circuit, noiseless.target, mode="hs-test-density",
                                   plan=plan)
         finals = []
-        for theta0 in _damping_inits(cfg, summary.best.final_theta, gi, circuit.q):
-            trace = nelder_mead_minimize(evaluator.cost, theta0, nm_cfg)
+        inits = _damping_inits(cfg, summary.best.final_theta, gi, circuit.q)
+        for i, theta0 in enumerate(inits):
+            trace = nelder_mead_minimize(evaluator.cost, theta0, nm_cfg, restart_index=i)
             finals.append(1.0 - trace.final_cost)
         fid = np.array(finals)
         rows.append([float(p), float(fid.mean()), float(fid.std()),

@@ -39,7 +39,6 @@ class CoherentNoise:
     kind: str
     delta: float
     mode: str = "deterministic-shift"
-    samples: int = 200
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class CoherentNoise:
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if not np.isfinite(self.delta) or self.delta < 0.0:
             raise NegativeAmplitude(f"noise amplitude must be >= 0, got {self.delta!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
 
     def affected_indices(self, spec: HamiltonianSpec) -> list[int]:
         if self.kind == "charge":
@@ -111,14 +108,17 @@ def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
     samples}.  Deterministic mode needs a single evaluation per point;
     sampled mode averages `samples` realizations with per-point derived
     seeds.  Each point's realizations are evaluated as one stack.  The
-    grid must be non-negative and strictly ascending.
+    grid must be non-negative and strictly ascending, and `samples` at
+    least 1 in either mode.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples!r}")
     grid = check_delta_grid(delta_grid)
     spec = evaluator.circuit.spec
     rows = []
     for gi, delta in enumerate(grid):
         noise = CoherentNoise(kind=kind, delta=float(delta), mode=mode,
-                              samples=samples, seed=derive_subseed(seed, gi))
+                              seed=derive_subseed(seed, gi))
         sampled = mode == "uniform-sample" and delta > 0.0
         stack = _shifted_stack(theta_star, noise, spec, range(samples if sampled else 1))
         fids = 1.0 - evaluator.costs(stack)

@@ -20,12 +20,13 @@ downstream tooling writes out as training curves.
 
 Each method is written once, as an ask/tell generator: it yields
 ("cost", x) or ("grad", x) and is sent the value back, and its return
-value is the OptimizationTrace.  `lbfgs_minimize` and
-`nelder_mead_minimize` drive one generator with the callables they are
-given.  `multi_restart` drives up to `workers` restarts in lockstep
-(default: all of them) and answers each round's requests with one
-stacked `costs` call and one stacked `gradients` call of the evaluator.
-A driver that receives a non-finite cost or gradient raises
+value is the OptimizationTrace.  One loop, `_lockstep`, runs every
+generator: it advances a set of them in rounds and answers each round's
+requests with one call of a stacked cost and one of a stacked gradient.
+`multi_restart` hands it all restarts with the evaluator's `costs` and
+`gradients`; `lbfgs_minimize`, `nelder_mead_minimize` and
+`run_single_restart` hand it one generator, with their one-vector
+callables answering row by row.  A non-finite cost or gradient raises
 NumericalFailure naming the restart.  A trace's `elapsed_ms` counts from
 the restart's first step; in lockstep that is the start of the shared
 run, so it includes the time spent on the other restarts.
@@ -33,8 +34,8 @@ run, so it includes the time spent on the other restarts.
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,12 @@ STALL_RTOL = 1e-2
 KICK_SIGMA = 0.5
 
 DEFAULT_MAX_ITERS = {"lbfgs": 200, "nelder-mead": 2000}
+# most restarts, re-trainings or samples one run may ask for: every
+# restart's generator, every re-training's start vector and every
+# (samples, Q) parameter stack is built before the first is used.  The
+# paper's runs use at most a few hundred; a larger count is a typo, and
+# building it could exhaust memory before anything is computed.
+MAX_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,13 @@ class InitScheme:
 
     def __post_init__(self):
         lo, hi = self.clip
+        if not np.isfinite([self.mean, lo, hi]).all():
+            raise ConfigError(f"init mean and clip must be finite, got {self.mean!r}, "
+                              f"{self.clip!r}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigError(f"init sigma must be finite and >= 0, got {self.sigma!r}")
         if not lo <= hi:
-            raise ConfigError(f"init clip interval is inverted or NaN: {self.clip!r}")
+            raise ConfigError(f"init clip interval is inverted: {self.clip!r}")
 
     def sample(self, rng: np.random.Generator, q: int) -> np.ndarray:
         lo, hi = self.clip
@@ -97,11 +109,14 @@ class OptimizerConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.restarts < 1 or self.history_size < 1:
             raise ConfigError("restarts and history_size must be at least 1")
+        if self.restarts > MAX_COUNT:
+            raise ConfigError(f"restarts must be at most {MAX_COUNT}, got {self.restarts!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError(f"max_iters must be at least 1, got {self.max_iters!r}")
         for name in ("cost_tolerance", "gradient_tolerance", "spread_tolerance"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)!r}")
         # a zero step gives a degenerate simplex that stops at once
         if not 0.0 < self.simplex_step < np.inf:
             raise ConfigError(f"simplex_step must be finite and > 0, got {self.simplex_step!r}")
@@ -178,16 +193,39 @@ def _checked(kind: str, value, restart_index: int):
     return value
 
 
-def _drive(steps, fun, grad, restart_index: int) -> OptimizationTrace:
-    """Run one optimizer generator to its end, answering each request by a call."""
-    answer = {"cost": fun, "grad": grad}
-    reply = None
-    while True:
+def _lockstep(steps: dict, costs, gradients) -> dict[int, OptimizationTrace]:
+    """Run optimizer generators, keyed by restart index, to their ends in rounds.
+
+    Each round answers every pending cost request with one call of
+    `costs` on the stacked vectors, then every pending gradient request
+    with one call of `gradients`; a generator whose cost is answered may
+    ask for its gradient in the same round.  Returns the traces by index.
+    """
+    active: dict[int, tuple] = {}  # restart index -> (generator, its request)
+    traces: dict[int, OptimizationTrace] = {}
+
+    def advance(index, gen, reply):
         try:
-            kind, x = steps.send(reply)
+            active[index] = (gen, gen.send(reply))
         except StopIteration as done:
-            return done.value
-        reply = _checked(kind, answer[kind](x), restart_index)
+            del active[index]
+            traces[index] = done.value
+
+    for index, gen in steps.items():
+        advance(index, gen, None)
+    while active:
+        for kind, batch in (("cost", costs), ("grad", gradients)):
+            asking = [(index, gen, x) for index, (gen, (k, x)) in active.items() if k == kind]
+            if asking:
+                values = batch(np.array([x for _, _, x in asking]))
+                for (index, gen, _), value in zip(asking, values):
+                    advance(index, gen, _checked(kind, value, index))
+    return traces
+
+
+def _rows(fun):
+    """A stacked callable that answers each row with one call of `fun`."""
+    return lambda xs: [fun(x) for x in xs]
 
 
 def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
@@ -212,7 +250,8 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
     True only when its cost meets the goal.  A non-finite value from
     `fun` or `grad` raises NumericalFailure.
     """
-    return _drive(_lbfgs_steps(x0, cfg, restart_index, rng), fun, grad, restart_index)
+    steps = _lbfgs_steps(x0, cfg, restart_index, rng)
+    return _lockstep({restart_index: steps}, _rows(fun), _rows(grad))[restart_index]
 
 
 def _lbfgs_steps(x0, cfg, restart_index, rng):
@@ -222,9 +261,7 @@ def _lbfgs_steps(x0, cfg, restart_index, rng):
     f = yield "cost", x
     g = yield "grad", x
     n_evals = 1
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    hist = deque(maxlen=cfg.history_size)  # curvature pairs (s, y, 1 / s.y), oldest first
     best_x, best_f = x, f
     descent_start = 0
     escaped = False
@@ -253,27 +290,27 @@ def _lbfgs_steps(x0, cfg, restart_index, rng):
             f = yield "cost", x
             g = yield "grad", x
             n_evals += 1
-            s_hist, y_hist, rho_hist = [], [], []
+            hist.clear()
             escaped = True
             descent_start = row + 1
         else:
             # two-loop recursion for d = -H g
             d = -g.copy()
             alphas = []
-            for s, y, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+            for s, y, r in reversed(hist):
                 a = r * np.dot(s, d)
                 alphas.append(a)
                 d -= a * y
-            if s_hist:
-                gamma = np.dot(s_hist[-1], y_hist[-1]) / np.dot(y_hist[-1], y_hist[-1])
-                d *= gamma
-            for (s, y, r), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+            if hist:
+                s, y, _ = hist[-1]
+                d *= np.dot(s, y) / np.dot(y, y)
+            for (s, y, r), a in zip(hist, reversed(alphas)):
                 b = r * np.dot(y, d)
                 d += (a - b) * s
             slope = np.dot(g, d)
             if slope >= 0.0:
                 # not a descent direction; drop history and fall back to steepest descent
-                s_hist, y_hist, rho_hist = [], [], []
+                hist.clear()
                 d = -g
                 slope = np.dot(g, d)
             # Armijo backtracking
@@ -296,13 +333,7 @@ def _lbfgs_steps(x0, cfg, restart_index, rng):
             y = g_new - g
             sy = np.dot(s, y)
             if sy > CURVATURE_EPS:
-                s_hist.append(s)
-                y_hist.append(y)
-                rho_hist.append(1.0 / sy)
-                if len(s_hist) > cfg.history_size:
-                    s_hist.pop(0)
-                    y_hist.pop(0)
-                    rho_hist.pop(0)
+                hist.append((s, y, 1.0 / sy))
             f, g = f_new, g_new
         rec.add(f, np.max(np.abs(g)), x)
         if f < best_f:
@@ -321,7 +352,8 @@ def nelder_mead_minimize(fun, x0: np.ndarray, cfg: OptimizerConfig,
     only when the cost goal was met; a collapsed simplex above it counts
     as a stall.  A non-finite value from `fun` raises NumericalFailure.
     """
-    return _drive(_nelder_mead_steps(x0, cfg, restart_index), fun, None, restart_index)
+    steps = _nelder_mead_steps(x0, cfg, restart_index)
+    return _lockstep({restart_index: steps}, _rows(fun), None)[restart_index]
 
 
 def _nelder_mead_steps(x0, cfg, restart_index):
@@ -440,49 +472,22 @@ def _restart_steps(evaluator, init: InitScheme, cfg: OptimizerConfig, index: int
 def run_single_restart(evaluator, init: InitScheme, cfg: OptimizerConfig,
                        index: int) -> OptimizationTrace:
     """One restart with its counter-derived seed, through `cost` and `gradient`."""
-    return _drive(_restart_steps(evaluator, init, cfg, index),
-                  evaluator.cost, evaluator.gradient, index)
+    steps = _restart_steps(evaluator, init, cfg, index)
+    return _lockstep({index: steps}, _rows(evaluator.cost), _rows(evaluator.gradient))[index]
 
 
-def multi_restart(evaluator, init: InitScheme, cfg: OptimizerConfig,
-                  workers: int | None = None) -> RestartSummary:
+def multi_restart(evaluator, init: InitScheme, cfg: OptimizerConfig) -> RestartSummary:
     """Run cfg.restarts independent optimizations and keep them all.
 
-    Up to `workers` restarts (default: all of them) advance together in
-    rounds: each round answers every pending cost request with one
-    `evaluator.costs` call, then every pending gradient request with one
-    `evaluator.gradients` call, and a finished restart hands its place to
-    the next.  Per-restart seeds derive from (init.seed, restart index) and
-    each stacked row equals its single-vector value bit for bit, so results
-    do not depend on `workers`; workers=1 runs the restarts one at a time.
+    All restarts advance together in rounds: each round answers every
+    pending cost request with one `evaluator.costs` call, then every
+    pending gradient request with one `evaluator.gradients` call.
+    Per-restart seeds derive from (init.seed, restart index) and each
+    stacked row equals its single-vector value bit for bit, so restart i
+    equals `run_single_restart(evaluator, init, cfg, i)`.
     """
-    width = cfg.restarts if workers is None else workers
-    if width < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
-    waiting = iter(range(cfg.restarts))
-    active: dict[int, tuple] = {}  # restart index -> (generator, its request)
-    traces: dict[int, OptimizationTrace] = {}
-
-    def advance(index, steps, reply):
-        try:
-            active[index] = (steps, steps.send(reply))
-        except StopIteration as done:
-            del active[index]
-            traces[index] = done.value
-
-    while True:
-        for index in itertools.islice(waiting, width - len(active)):
-            advance(index, _restart_steps(evaluator, init, cfg, index), None)
-        if not active:
-            break
-        # a restart whose cost is answered may ask for its gradient in the same round
-        for kind, batch in (("cost", evaluator.costs), ("grad", evaluator.gradients)):
-            asking = [(index, steps, x) for index, (steps, (k, x)) in active.items()
-                      if k == kind]
-            if asking:
-                values = batch(np.array([x for _, _, x in asking]))
-                for (index, steps, _), value in zip(asking, values):
-                    advance(index, steps, _checked(kind, value, index))
+    steps = {i: _restart_steps(evaluator, init, cfg, i) for i in range(cfg.restarts)}
+    traces = _lockstep(steps, evaluator.costs, evaluator.gradients)
     ordered = [traces[i] for i in range(cfg.restarts)]
     best_index = int(np.argmin([t.final_cost for t in ordered]))
     return RestartSummary(traces=ordered, best_index=best_index,

@@ -22,7 +22,8 @@ from spingate.harness import (_STREAM_NOISE, ExperimentConfig,
                               run_grad_stats)
 from spingate.linalg import dagger, hermitian_expm, is_unitary
 from spingate.noise import DEFAULT_DELTA_GRID, robustness_sweep
-from spingate.optimize import InitScheme, OptimizerConfig, multi_restart
+from spingate.optimize import (InitScheme, OptimizerConfig, multi_restart,
+                               run_single_restart)
 from spingate.seeding import derive_subseed
 from spingate.simulator import NoisyCircuitPlan, amplitude_damping
 from spingate.targets import elementary, fredkin, resolve_target, toffoli
@@ -375,10 +376,10 @@ def test_criterion_09b_concurrent_restarts_match_serial(toffoli_run):
     evaluator = CostEvaluator(circuit, toffoli_run["target"], mode="exact-trace")
     init = InitScheme(seed=MASTER_SEED)
     cfg = OptimizerConfig(algorithm="lbfgs", max_iters=60, restarts=4)
-    serial = multi_restart(evaluator, init, cfg, workers=1)
-    threaded = multi_restart(evaluator, init, cfg, workers=3)
-    for s, t in zip(serial.traces, threaded.traces):
+    serial = [run_single_restart(evaluator, init, cfg, i) for i in range(cfg.restarts)]
+    lockstep = multi_restart(evaluator, init, cfg)
+    for s, t in zip(serial, lockstep.traces, strict=True):
         assert s.final_cost == t.final_cost
         np.testing.assert_array_equal(s.final_theta, t.final_theta)
         np.testing.assert_array_equal(np.asarray(s.costs), np.asarray(t.costs))
-    print("criterion 9b: threaded restarts match serial bit for bit")
+    print("criterion 9b: lockstep restarts match single restarts bit for bit")

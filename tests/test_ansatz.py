@@ -21,7 +21,6 @@ def test_layer_structure(spec3):
     assert kinds[9:] == ["two-rotation"] * 6
     # factor j is generated by term j with the conventional half-angle
     assert [g.param_index for g in c.layer] == list(range(15))
-    assert all(g.angle_scale == 2.0 for g in c.layer)
 
 
 def test_depth_validation(spec3):
@@ -31,14 +30,14 @@ def test_depth_validation(spec3):
 
 
 def test_gate_matrices_match_exponential_oracle(spec3, rng):
-    """Each factor equals exp(-i theta_j t0 P_j) computed independently."""
+    """Each factor equals exp(-i theta_j P_j) computed independently."""
     c = build_hva(spec3, 1)
     paulis = spec3.matrices()
     for _ in range(5):
         theta = rng.normal(size=15)
         gs = gate_matrices(c, theta)
         for j in range(15):
-            expect = hermitian_expm(paulis[j], theta[j] * c.t0)
+            expect = hermitian_expm(paulis[j], theta[j])
             assert np.max(np.abs(gs[j] - expect)) < 1e-12
 
 
@@ -66,14 +65,6 @@ def test_circuit_unitary_unitarity(spec3, rng):
     for _ in range(10):
         u = circuit_unitary(c, rng.normal(size=15))
         assert is_unitary(u, 1e-10)
-
-
-def test_t0_rescaling(spec3, rng):
-    """Halving t0 equals halving every parameter."""
-    theta = rng.normal(size=15)
-    a = circuit_unitary(build_hva(spec3, 2, t0=0.5), theta)
-    b = circuit_unitary(build_hva(spec3, 2, t0=1.0), 0.5 * theta)
-    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_apply_circuit_matches_dense(spec3, rng):

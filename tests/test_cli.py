@@ -11,7 +11,7 @@ import pytest
 from spingate import cli
 from spingate.cli import main
 from spingate.errors import NumericalFailure
-from spingate.harness import MAX_NOISE_SAMPLES
+from spingate.optimize import MAX_COUNT
 
 
 def find_record(out_dir):
@@ -136,7 +136,8 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"]])
+@pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"],
+                                   ["--restarts", str(MAX_COUNT + 1)]])
 def test_bad_restarts_flag_exits_2(tmp_path, capsys, flags):
     assert main(["compile", "--m", "1", "--out", str(tmp_path), *flags]) == 2
     assert "config error" in capsys.readouterr().err
@@ -152,6 +153,9 @@ def test_bad_restarts_flag_exits_2(tmp_path, capsys, flags):
     "simplex_step = -0.1\n",
     "simplex_step = nan\n",
     "simplex_step = inf\n",
+    "cost_tolerance = inf\n",
+    "gradient_tolerance = inf\n",
+    "spread_tolerance = nan\n",
 ])
 def test_bad_optimizer_values_exit_2(tmp_path, capsys, extra):
     ini = write_tiny_ini(tmp_path / "exp.ini")
@@ -171,6 +175,23 @@ def test_inverted_init_clip_exits_2(tmp_path, capsys):
     ini = write_tiny_ini(tmp_path / "exp.ini", extra="[init]\nclip_low = 1\nclip_high = -1\n")
     assert main(["compile", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    "sigma = -1\n",
+    "sigma = nan\n",
+    "sigma = inf\n",
+    "mean = nan\n",
+    "mean = -inf\n",
+    "clip_low = -inf\n",
+    "clip_high = nan\n",
+])
+def test_bad_init_values_exit_2_before_compiling(tmp_path, capsys, extra):
+    ini = write_tiny_ini(tmp_path / "exp.ini", extra="[init]\n" + extra)
+    out = tmp_path / "out"
+    assert main(["compile", "--config", str(ini), "--out", str(out)]) == 2
+    assert "config error: init" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -239,7 +260,7 @@ def test_negative_master_seed_in_ini_exits_2_before_compiling(tmp_path, capsys):
 
 def test_too_many_noise_samples_exit_2_before_compiling(tmp_path, capsys):
     ini = write_tiny_ini(tmp_path / "exp.ini",
-                         extra=f"mode = uniform-sample\nsamples = {MAX_NOISE_SAMPLES + 1}\n")
+                         extra=f"mode = uniform-sample\nsamples = {MAX_COUNT + 1}\n")
     out = tmp_path / "out"
     assert main(["noise-sweep", "--config", str(ini), "--out", str(out)]) == 2
     assert "noise samples" in capsys.readouterr().err

@@ -271,7 +271,7 @@ def _adjoint_gradient_one_vector(ev, theta):
     back[-1] = sum(powers[l] @ v_dag @ powers[circuit.m - 1 - l] for l in range(circuit.m))
     for j in range(len(gs) - 2, -1, -1):
         back[j] = back[j + 1] @ gs[j + 1]
-    dt = -1j * circuit.t0 * np.einsum("jab,jbc,jca->j", circuit.spec.matrices(), fwd, back)
+    dt = -1j * np.einsum("jab,jbc,jca->j", circuit.spec.matrices(), fwd, back)
     return -(2.0 / (d * d)) * (np.conj(t_val) * dt).real
 
 

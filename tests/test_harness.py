@@ -11,17 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spingate.errors import ConfigError
+from spingate.cost import CostEvaluator
+from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, parse_parameters
 from spingate.harness import (_SCHEMA, DEFAULT_MASTER_SEED, EXPERIMENT_KINDS,
-                              MAX_GRID_POINTS, MAX_NOISE_SAMPLES, ExperimentConfig,
+                              MAX_GRID_POINTS, ExperimentConfig, _damping_inits,
                               _parse_float_list, _parse_int_list, config_to_dict,
                               load_config, run_compile,
                               run_coherent_noise_sweep, run_damping_sweep,
                               run_experiment, run_grad_stats,
                               run_trotter_sweep)
 from spingate.noise import NOISE_KINDS, NOISE_MODES
-from spingate.optimize import InitScheme, OptimizerConfig
+from spingate.optimize import MAX_COUNT, InitScheme, OptimizerConfig
 from spingate.simulator import PLACEMENTS
 
 
@@ -80,9 +81,6 @@ class TestConfigValidation:
             ExperimentConfig(noise_kinds=("charge", "thermal"))
         with pytest.raises(ConfigError):
             ExperimentConfig(noise_samples=0)
-        with pytest.raises(ConfigError, match="at most"):
-            ExperimentConfig(noise_samples=MAX_NOISE_SAMPLES + 1)
-        assert ExperimentConfig(noise_samples=MAX_NOISE_SAMPLES).noise_samples == MAX_NOISE_SAMPLES
         with pytest.raises(ConfigError, match="duplicate"):
             ExperimentConfig(noise_kinds=("charge", "charge"))
         with pytest.raises(ConfigError, match="non-empty"):
@@ -103,6 +101,15 @@ class TestConfigValidation:
             ExperimentConfig(damping_placement="after-each-step")
         # only the experiment that sweeps a list needs it non-empty
         assert ExperimentConfig(kind="compile", damping_grid=()).damping_grid == ()
+
+    def test_counts_held_at_once_are_capped(self):
+        for name in ("noise_samples", "grad_samples", "damping_restarts"):
+            with pytest.raises(ConfigError, match="at most"):
+                ExperimentConfig(**{name: MAX_COUNT + 1})
+            assert getattr(ExperimentConfig(**{name: MAX_COUNT}), name) == MAX_COUNT
+        with pytest.raises(ConfigError, match="at most"):
+            OptimizerConfig(restarts=MAX_COUNT + 1)
+        assert OptimizerConfig(restarts=MAX_COUNT).restarts == MAX_COUNT
 
     def test_single_m_guard(self):
         cfg = ExperimentConfig(m=(2, 3))
@@ -515,6 +522,26 @@ def test_run_damping_sweep_cold_start(tmp_path):
         damping_grid=(0.0,), damping_restarts=2, warm_start=False)
     record = run_damping_sweep(cfg)
     assert record.results["warm_start"] is False
+
+
+def test_run_damping_sweep_names_the_failing_retraining(tmp_path, monkeypatch):
+    # a cost goal of 1 stops the compile and re-training 0 at their first point
+    cfg = ExperimentConfig(
+        kind="damping-sweep", m=(1,), output_dir=str(tmp_path),
+        optimizer=tiny_optimizer(cost_tolerance=1.0),
+        damping_grid=(0.01,), damping_restarts=2, warm_start=False)
+    # cold starts do not depend on the compiled parameters
+    start = _damping_inits(cfg, None, 0, 15)[1]
+    density_cost = CostEvaluator.cost
+
+    def nan_at_second_start(self, theta):
+        if self.mode == "hs-test-density" and np.array_equal(theta, start):
+            return float("nan")
+        return density_cost(self, theta)
+
+    monkeypatch.setattr(CostEvaluator, "cost", nan_at_second_start)
+    with pytest.raises(NumericalFailure, match="restart 1: the cost is not finite"):
+        run_damping_sweep(cfg)
 
 
 def test_run_grad_stats_outputs(tmp_path):

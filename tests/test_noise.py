@@ -59,8 +59,6 @@ def test_noise_validation():
         CoherentNoise(kind="charge", delta=0.1, mode="gaussian")
     with pytest.raises(NegativeAmplitude):
         CoherentNoise(kind="charge", delta=-0.1)
-    with pytest.raises(ValueError):
-        CoherentNoise(kind="charge", delta=0.1, samples=0)
 
 
 def test_default_grid_shape():
@@ -108,6 +106,9 @@ def test_robustness_sweep_grid_validation(cheap_eval):
         robustness_sweep(cheap_eval, theta, "charge", [])
     with pytest.raises(ValueError):
         robustness_sweep(cheap_eval, theta, "charge", [0.0, np.nan])
+    for mode in ("deterministic-shift", "uniform-sample"):
+        with pytest.raises(ValueError, match="samples"):
+            robustness_sweep(cheap_eval, theta, "charge", [0.0, 0.1], mode=mode, samples=0)
 
 
 def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples, seed):
@@ -120,7 +121,7 @@ def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples
     rows = []
     for gi, delta in enumerate(np.asarray(delta_grid, dtype=float)):
         noise = CoherentNoise(kind=kind, delta=float(delta), mode=mode,
-                              samples=samples, seed=derive_subseed(seed, gi))
+                              seed=derive_subseed(seed, gi))
         if mode == "deterministic-shift" or delta == 0.0:
             f = 1.0 - evaluator.cost(perturb(theta_star, noise, spec))
             rows.append({"delta": float(delta), "mean_fidelity": f,

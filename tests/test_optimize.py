@@ -232,13 +232,18 @@ def test_multi_restart_deterministic(small_evaluator):
     assert a.seeds == [[7, 0], [7, 1], [7, 2]]
 
 
+def one_at_a_time(evaluator, init, cfg):
+    """Every restart on its own, through the single-vector `cost` and `gradient`."""
+    return [run_single_restart(evaluator, init, cfg, i) for i in range(cfg.restarts)]
+
+
 def test_multi_restart_threaded_matches_serial(small_evaluator):
-    """Restart draws are counter-derived, so advancing 3 at a time changes nothing."""
+    """Restart draws are counter-derived, so advancing them together changes nothing."""
     init = InitScheme(seed=11)
     cfg = OptimizerConfig(restarts=4, max_iters=15)
-    serial = multi_restart(small_evaluator, init, cfg, workers=1)
-    pooled = multi_restart(small_evaluator, init, cfg, workers=3)
-    for ts, tp in zip(serial.traces, pooled.traces):
+    serial = one_at_a_time(small_evaluator, init, cfg)
+    pooled = multi_restart(small_evaluator, init, cfg)
+    for ts, tp in zip(serial, pooled.traces, strict=True):
         assert np.array_equal(ts.costs, tp.costs)
         assert np.array_equal(ts.final_theta, tp.final_theta)
         assert ts.stop_reason == tp.stop_reason
@@ -248,12 +253,12 @@ def test_multi_restart_escapes_match_serial(small_evaluator):
     """Kicks draw from each restart's own stream, so lockstep changes nothing."""
     init = InitScheme(seed=5)
     cfg = OptimizerConfig(restarts=4, max_iters=60)
-    serial = multi_restart(small_evaluator, init, cfg, workers=1)
-    pooled = multi_restart(small_evaluator, init, cfg, workers=3)
-    kicked = [t for t in serial.traces if np.any(np.diff(t.costs) > 0.0)]
+    serial = one_at_a_time(small_evaluator, init, cfg)
+    pooled = multi_restart(small_evaluator, init, cfg)
+    kicked = [t for t in serial if np.any(np.diff(t.costs) > 0.0)]
     assert kicked
     assert all(t.stop_reason == "stalled" for t in kicked)
-    for ts, tp in zip(serial.traces, pooled.traces):
+    for ts, tp in zip(serial, pooled.traces, strict=True):
         assert np.array_equal(ts.costs, tp.costs)
         assert np.array_equal(ts.theta_history, tp.theta_history)
         assert np.array_equal(ts.final_theta, tp.final_theta)
@@ -302,13 +307,14 @@ def test_run_single_restart_matches_manual(small_evaluator):
     assert tr.restart_index == 4
 
 
-def assert_same_traces(a, b):
-    for ta, tb in zip(a.traces, b.traces, strict=True):
+def assert_same_traces(summary, serial):
+    """A lockstep summary equals its restarts run one at a time, bit for bit."""
+    for ta, tb in zip(summary.traces, serial, strict=True):
         for name in ("costs", "metric", "theta_history", "final_theta"):
             assert np.array_equal(getattr(ta, name), getattr(tb, name))
-        assert (ta.stop_reason, ta.n_evals, ta.final_cost) == (tb.stop_reason, tb.n_evals,
-                                                             tb.final_cost)
-    assert a.best_index == b.best_index
+        assert (ta.restart_index, ta.stop_reason, ta.n_evals, ta.final_cost) \
+            == (tb.restart_index, tb.stop_reason, tb.n_evals, tb.final_cost)
+    assert summary.best_index == int(np.argmin([t.final_cost for t in serial]))
 
 
 def test_lockstep_matches_one_at_a_time_when_restarts_finish_apart():
@@ -316,8 +322,7 @@ def test_lockstep_matches_one_at_a_time_when_restarts_finish_apart():
     init = InitScheme(seed=5)
     cfg = OptimizerConfig(restarts=4, max_iters=60, cost_tolerance=0.2)
     lockstep = multi_restart(ev, init, cfg)
-    serial = multi_restart(ev, init, cfg, workers=1)
-    assert_same_traces(lockstep, serial)
+    assert_same_traces(lockstep, one_at_a_time(ev, init, cfg))
     # one restart converges rounds before the others, which kick on to the budget
     early = [t for t in lockstep.traces if t.stop_reason == "cost-tolerance"]
     assert len(early) == 1 and early[0].iterations < cfg.max_iters
@@ -330,37 +335,38 @@ def test_nelder_mead_lockstep_matches_one_at_a_time(small_evaluator):
     init = InitScheme(seed=2)
     cfg = OptimizerConfig(algorithm="nelder-mead", restarts=3, max_iters=120)
     lockstep = multi_restart(small_evaluator, init, cfg)
-    serial = multi_restart(small_evaluator, init, cfg, workers=1)
-    assert_same_traces(lockstep, serial)
+    assert_same_traces(lockstep, one_at_a_time(small_evaluator, init, cfg))
     assert all(t.algorithm == "nelder-mead" for t in lockstep.traces)
 
 
 class _StackSizes(CostEvaluator):
-    """Records the row count of every `costs` call."""
+    """Records the row count of every `costs` call, and 1 for every `cost` call."""
 
     def costs(self, thetas):
         self.rows.append(len(thetas))
         return super().costs(thetas)
 
+    def cost(self, theta):
+        self.rows.append(1)
+        return super().cost(theta)
+
 
 def test_lockstep_counts_the_same_evaluations_in_fewer_calls():
     init = InitScheme(seed=9)
     cfg = OptimizerConfig(restarts=5, max_iters=20)
+    runs = {"lockstep": lambda ev: multi_restart(ev, init, cfg).traces,
+            "serial": lambda ev: one_at_a_time(ev, init, cfg)}
     counts = {}
-    for workers in (None, 1):
+    for name, run in runs.items():
         ev = _StackSizes(build_hva(heisenberg_spec(3), 2), toffoli())
         ev.rows = rows = []
-        summary = multi_restart(ev, init, cfg, workers=workers)
-        counts[workers] = (ev.eval_count, len(rows), max(rows))
-        assert ev.eval_count == sum(rows) == sum(t.n_evals for t in summary.traces)
-    assert counts[None][0] == counts[1][0]
-    assert counts[None][1] < counts[1][1]
-    assert counts[None][2] == cfg.restarts and counts[1][2] == 1
-
-
-def test_workers_must_be_positive(small_evaluator):
-    with pytest.raises(ValueError):
-        multi_restart(small_evaluator, InitScheme(), OptimizerConfig(restarts=2), workers=0)
+        traces = run(ev)
+        counts[name] = (ev.eval_count, len(rows), max(rows))
+        assert ev.eval_count == sum(rows) == sum(t.n_evals for t in traces)
+    lockstep, serial = counts["lockstep"], counts["serial"]
+    assert lockstep[0] == serial[0]
+    assert lockstep[1] < serial[1]
+    assert lockstep[2] == cfg.restarts and serial[2] == 1
 
 
 def test_lbfgs_non_finite_values_raise():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spingate.harness import MAX_NOISE_SAMPLES
+from spingate.optimize import MAX_COUNT
 from spingate.noise import DEFAULT_DELTA_GRID
 from spingate.seeding import derive_rng, derive_subseed, first_randoms
 
@@ -46,10 +46,10 @@ def test_numpy_style_inputs_accepted():
 @settings(max_examples=150, deadline=None)
 @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70),
                       st.integers(2**96, 2**130)),
-       counters=st.lists(st.integers(0, MAX_NOISE_SAMPLES), min_size=1, max_size=25),
+       counters=st.lists(st.integers(0, MAX_COUNT), min_size=1, max_size=25),
        delta=st.one_of(st.sampled_from(DEFAULT_DELTA_GRID.tolist()),
                        st.floats(0.0, 10.0)))
-@example(seed=0, counters=[0, 1, MAX_NOISE_SAMPLES], delta=0.5)
+@example(seed=0, counters=[0, 1, MAX_COUNT], delta=0.5)
 @example(seed=2**32 - 1, counters=[0, 2**32 - 1], delta=0.025)
 @example(seed=2**32, counters=[3, 0, 7], delta=0.2)
 def test_first_randoms_equal_derived_generators(seed, counters, delta):
