@@ -168,28 +168,25 @@ def circuit_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return u
 
 
-def apply_circuit(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
-                  first_qubit: int = 1) -> np.ndarray:
+def apply_circuit(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply the circuit gate by gate to a state on >= n qubits.
 
-    The circuit occupies qubits first_qubit .. first_qubit+n-1 of the
-    register.  With first_qubit = 1 this matches circuit_unitary (x) I on
-    the trailing qubits.
+    The circuit occupies the leading n qubits of the register, so this
+    matches circuit_unitary (x) I on the trailing qubits.
     """
     theta = _check_theta(circuit, theta)
     psi = np.asarray(psi, dtype=complex)
     n_reg = int(np.log2(psi.size))
     if 2 ** n_reg != psi.size:
         raise DimMismatch(f"state size {psi.size} is not a power of 2")
-    if first_qubit < 1 or first_qubit + circuit.n - 1 > n_reg:
-        raise DimMismatch("circuit does not fit in the register at that offset")
-    offset = first_qubit - 1
+    if circuit.n > n_reg:
+        raise DimMismatch(f"circuit on {circuit.n} qubits does not fit a {n_reg}-qubit register")
     locals_ = []
     for g in circuit.layer:
         gen = g.local_generator()
         ang = theta[g.param_index]
         mat = np.cos(ang) * np.eye(gen.shape[0]) - 1j * np.sin(ang) * gen
-        locals_.append((mat, tuple(q + offset for q in g.qubits)))
+        locals_.append((mat, g.qubits))
     out = psi
     for _ in range(circuit.m):
         for mat, qubits in locals_:

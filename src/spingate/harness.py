@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .ansatz import build_hva
 from .cost import CostEvaluator
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .hamiltonian import format_parameters, heisenberg_spec
 from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_grid,
                     robustness_sweep)
@@ -495,7 +495,10 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
         finals = []
         inits = _damping_inits(cfg, summary.best.final_theta, gi, circuit.q)
         for i, theta0 in enumerate(inits):
-            trace = nelder_mead_minimize(evaluator.cost, theta0, nm_cfg, restart_index=i)
+            try:
+                trace = nelder_mead_minimize(evaluator.cost, theta0, nm_cfg, restart_index=i)
+            except NumericalFailure as exc:
+                raise NumericalFailure(f"damping p={float(p)} (grid point {gi}): {exc}") from exc
             finals.append(1.0 - trace.final_cost)
         fid = np.array(finals)
         rows.append([float(p), float(fid.mean()), float(fid.std()),

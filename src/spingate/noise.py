@@ -10,9 +10,11 @@ compiled parameter vector:
 
 A perturbation either adds the amplitude delta outright
 ("deterministic-shift") or adds one shared draw u ~ Uniform[0, delta]
-per realization ("uniform-sample").  Perturbed vectors are returned
-unwrapped: the cost is 2*pi-periodic anyway, and the unwrapped values
-keep their physical reading as coefficient shifts.
+per realization ("uniform-sample").  Realization r's draw is delta times
+the r-th double of the one stream `derive_rng(noise.seed)`, so the first
+k realizations do not depend on how many are drawn.  Perturbed vectors
+are returned unwrapped: the cost is 2*pi-periodic anyway, and the
+unwrapped values keep their physical reading as coefficient shifts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from .cost import CostEvaluator
 from .errors import NegativeAmplitude
 from .hamiltonian import HamiltonianSpec
-from .seeding import derive_subseed, first_randoms
+from .optimize import MAX_COUNT
+from .seeding import derive_rng, derive_subseed
 
 NOISE_KINDS = ("charge", "nuclear")
 NOISE_MODES = ("deterministic-shift", "uniform-sample")
@@ -68,23 +71,20 @@ def check_delta_grid(delta_grid) -> np.ndarray:
 
 
 def _shifted_stack(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpec,
-                   realizations) -> np.ndarray:
-    """One row per realization: theta with that realization's shift added.
+                   count: int) -> np.ndarray:
+    """`count` rows: row r is theta with realization r's shift added.
 
-    Deterministic mode shifts by noise.delta.  Sampled mode shifts row r
-    by u = delta * first_randoms(noise.seed, r), which equals
-    derive_rng(noise.seed, r).uniform(0.0, delta) bit for bit: one stream
-    per (seed, realization), drawn for all realizations at once without
-    building a generator.  A zero amplitude leaves every row a
-    bit-identical copy of theta.
+    Deterministic mode shifts every row by noise.delta.  Sampled mode
+    shifts row r by delta times the r-th double of derive_rng(noise.seed).
+    A zero amplitude leaves every row a bit-identical copy of theta.
     """
-    stack = np.tile(np.asarray(theta, dtype=float), (len(realizations), 1))
+    stack = np.tile(np.asarray(theta, dtype=float), (count, 1))
     if noise.delta == 0.0:
         return stack
     if noise.mode == "deterministic-shift":
-        shifts = np.full(len(realizations), noise.delta)
+        shifts = np.full(count, noise.delta)
     else:
-        shifts = noise.delta * first_randoms(noise.seed, realizations)
+        shifts = noise.delta * derive_rng(noise.seed).random(count)
     stack[:, noise.affected_indices(spec)] += shifts[:, None]
     return stack
 
@@ -94,9 +94,13 @@ def perturb(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpec,
     """Shifted copy of theta; unaffected coordinates are bit-identical.
 
     Deterministic mode adds noise.delta; sampled mode adds one shared
-    u ~ Uniform[0, delta] drawn from (noise.seed, realization).
+    u ~ Uniform[0, delta], the realization-th draw of noise.seed's stream,
+    so it equals row `realization` of a sweep's stack.  A realization
+    outside [0, MAX_COUNT) raises ValueError.
     """
-    return _shifted_stack(theta, noise, spec, [realization])[0]
+    if not 0 <= realization < MAX_COUNT:
+        raise ValueError(f"realization must lie in [0, {MAX_COUNT}), got {realization!r}")
+    return _shifted_stack(theta, noise, spec, realization + 1)[realization]
 
 
 def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
@@ -108,11 +112,11 @@ def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
     samples}.  Deterministic mode needs a single evaluation per point;
     sampled mode averages `samples` realizations with per-point derived
     seeds.  Each point's realizations are evaluated as one stack.  The
-    grid must be non-negative and strictly ascending, and `samples` at
-    least 1 in either mode.
+    grid must be non-negative and strictly ascending, and `samples` must
+    lie in [1, MAX_COUNT] in either mode.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples!r}")
+    if not 1 <= samples <= MAX_COUNT:
+        raise ValueError(f"samples must lie in [1, {MAX_COUNT}], got {samples!r}")
     grid = check_delta_grid(delta_grid)
     spec = evaluator.circuit.spec
     rows = []
@@ -120,7 +124,7 @@ def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
         noise = CoherentNoise(kind=kind, delta=float(delta), mode=mode,
                               seed=derive_subseed(seed, gi))
         sampled = mode == "uniform-sample" and delta > 0.0
-        stack = _shifted_stack(theta_star, noise, spec, range(samples if sampled else 1))
+        stack = _shifted_stack(theta_star, noise, spec, samples if sampled else 1)
         fids = 1.0 - evaluator.costs(stack)
         rows.append({"delta": float(delta),
                      "mean_fidelity": float(fids.mean()),

@@ -77,18 +77,14 @@ def test_apply_circuit_matches_dense(spec3, rng):
 
 
 def test_apply_circuit_on_larger_register(spec3, rng):
-    """On a 2n register the circuit acts as U (x) I at offset 1."""
+    """On a 2n register the circuit acts as U (x) I."""
     c = build_hva(spec3, 2)
     theta = rng.normal(size=15)
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
     psi /= np.linalg.norm(psi)
     dense = kron(circuit_unitary(c, theta), np.eye(8)) @ psi
-    out = apply_circuit(c, theta, psi, first_qubit=1)
+    out = apply_circuit(c, theta, psi)
     assert np.max(np.abs(out - dense)) < 1e-12
-    # offset placement: I (x) U
-    dense4 = kron(np.eye(8), circuit_unitary(c, theta)) @ psi
-    out4 = apply_circuit(c, theta, psi, first_qubit=4)
-    assert np.max(np.abs(out4 - dense4)) < 1e-12
 
 
 def test_apply_circuit_register_checks(spec3):
@@ -97,7 +93,7 @@ def test_apply_circuit_register_checks(spec3):
     with pytest.raises(DimMismatch):
         apply_circuit(c, theta, np.zeros(6, dtype=complex))
     with pytest.raises(DimMismatch):
-        apply_circuit(c, theta, np.zeros(8, dtype=complex), first_qubit=2)
+        apply_circuit(c, theta, np.zeros(4, dtype=complex))
 
 
 def test_parameter_length_checks(spec3):

@@ -540,7 +540,8 @@ def test_run_damping_sweep_names_the_failing_retraining(tmp_path, monkeypatch):
         return density_cost(self, theta)
 
     monkeypatch.setattr(CostEvaluator, "cost", nan_at_second_start)
-    with pytest.raises(NumericalFailure, match="restart 1: the cost is not finite"):
+    with pytest.raises(NumericalFailure,
+                       match=r"damping p=0\.01 \(grid point 0\): restart 1: the cost is not finite"):
         run_damping_sweep(cfg)
 
 

@@ -8,6 +8,7 @@ from spingate.cost import CostEvaluator
 from spingate.errors import NegativeAmplitude
 from spingate.noise import (DEFAULT_DELTA_GRID, CoherentNoise, perturb,
                             robustness_sweep)
+from spingate.optimize import MAX_COUNT
 from spingate.seeding import derive_rng, derive_subseed
 from spingate.targets import fredkin, toffoli
 
@@ -114,8 +115,9 @@ def test_robustness_sweep_grid_validation(cheap_eval):
 def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples, seed):
     """Reference: one cost call per realization.
 
-    Sampled shifts come straight from each realization's generator,
-    derive_rng(noise.seed, r).uniform(0.0, delta), not through perturb.
+    Sampled shifts come straight from each grid point's one generator,
+    derive_rng(noise.seed), with uniform(0.0, delta) called once per
+    realization in order, not through perturb.
     """
     spec = evaluator.circuit.spec
     rows = []
@@ -127,11 +129,11 @@ def per_realization_sweep(evaluator, theta_star, kind, delta_grid, mode, samples
             rows.append({"delta": float(delta), "mean_fidelity": f,
                          "std_fidelity": 0.0, "samples": 1})
         else:
+            stream = derive_rng(noise.seed)
             fids = np.empty(samples)
             for r in range(samples):
                 shifted = np.array(theta_star, dtype=float)
-                shifted[noise.affected_indices(spec)] += derive_rng(
-                    noise.seed, r).uniform(0.0, delta)
+                shifted[noise.affected_indices(spec)] += stream.uniform(0.0, delta)
                 fids[r] = 1.0 - evaluator.cost(shifted)
             rows.append({"delta": float(delta),
                          "mean_fidelity": float(fids.mean()),
@@ -156,3 +158,53 @@ def test_sweep_counts_every_realization(cheap_eval, rng):
     robustness_sweep(cheap_eval, rng.normal(size=15), "charge", [0.0, 0.05, 0.1],
                      mode="uniform-sample", samples=20, seed=2)
     assert cheap_eval.eval_count - before == 1 + 20 + 20
+
+
+def sweep_stacks(monkeypatch, evaluator, theta, samples):
+    """The stacks a sampled nuclear sweep at seed 3 hands to `costs`."""
+    stacks = []
+    costs = CostEvaluator.costs
+
+    def recording(self, stack):
+        stacks.append(stack.copy())
+        return costs(self, stack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CostEvaluator, "costs", recording)
+        robustness_sweep(evaluator, theta, "nuclear", [0.0, 0.05, 0.1],
+                         mode="uniform-sample", samples=samples, seed=3)
+    return stacks
+
+
+def test_sampled_realizations_are_prefix_stable(cheap_eval, rng, monkeypatch):
+    theta = rng.normal(size=15)
+    short = sweep_stacks(monkeypatch, cheap_eval, theta, 10)
+    long = sweep_stacks(monkeypatch, cheap_eval, theta, 37)
+    assert [len(s) for s in short] == [1, 10, 10]
+    assert [len(s) for s in long] == [1, 37, 37]
+    for a, b in zip(short[1:], long[1:]):
+        assert np.array_equal(a, b[:10])
+
+
+def test_perturb_equals_row_of_sweep_stack(cheap_eval, rng, monkeypatch):
+    theta = rng.normal(size=15)
+    stacks = sweep_stacks(monkeypatch, cheap_eval, theta, 12)
+    spec = cheap_eval.circuit.spec
+    for gi, delta in ((1, 0.05), (2, 0.1)):
+        noise = CoherentNoise(kind="nuclear", delta=delta, mode="uniform-sample",
+                              seed=derive_subseed(3, gi))
+        for r in (0, 5, 11):
+            assert np.array_equal(perturb(theta, noise, spec, realization=r), stacks[gi][r])
+
+
+def test_realization_and_sample_bounds(cheap_eval, spec3):
+    theta = np.zeros(15)
+    noise = CoherentNoise(kind="charge", delta=0.1, mode="uniform-sample", seed=1)
+    for r in (-1, MAX_COUNT):
+        with pytest.raises(ValueError, match="realization"):
+            perturb(theta, noise, spec3, realization=r)
+    assert perturb(theta, noise, spec3, realization=MAX_COUNT - 1)[9] > 0.0
+    for mode in ("deterministic-shift", "uniform-sample"):
+        with pytest.raises(ValueError, match="samples"):
+            robustness_sweep(cheap_eval, theta, "charge", [0.0, 0.1], mode=mode,
+                             samples=MAX_COUNT + 1)

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from spingate.optimize import MAX_COUNT
-from spingate.noise import DEFAULT_DELTA_GRID
-from spingate.seeding import derive_rng, derive_subseed, first_randoms
+from spingate.seeding import derive_rng, derive_subseed
 
 
 def test_same_stream_same_draws():
@@ -41,34 +37,5 @@ def test_subseed_stable_and_distinct():
 
 def test_numpy_style_inputs_accepted():
     assert derive_subseed(np.int64(10), np.int64(2)) == derive_subseed(10, 2)
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70),
-                      st.integers(2**96, 2**130)),
-       counters=st.lists(st.integers(0, MAX_COUNT), min_size=1, max_size=25),
-       delta=st.one_of(st.sampled_from(DEFAULT_DELTA_GRID.tolist()),
-                       st.floats(0.0, 10.0)))
-@example(seed=0, counters=[0, 1, MAX_COUNT], delta=0.5)
-@example(seed=2**32 - 1, counters=[0, 2**32 - 1], delta=0.025)
-@example(seed=2**32, counters=[3, 0, 7], delta=0.2)
-def test_first_randoms_equal_derived_generators(seed, counters, delta):
-    # seeds from 2^32 and 2^96 on take two to five entropy words with the
-    # counter, past the four-word pool
-    u = first_randoms(seed, counters)
-    assert u.tobytes() == np.array([derive_rng(seed, r).random()
-                                    for r in counters]).tobytes()
-    shifts = np.array([derive_rng(seed, r).uniform(0.0, delta) for r in counters])
-    assert (delta * u).tobytes() == shifts.tobytes()
-
-
-def test_first_randoms_reject_negative_inputs():
     with pytest.raises(ValueError):
         derive_rng(-1, 0)
-    with pytest.raises(ValueError):
-        first_randoms(-1, [0])
-    with pytest.raises(ValueError):
-        first_randoms(3, [0, -1])
-    with pytest.raises(ValueError):
-        first_randoms(3, [2**32])
-    assert first_randoms(3, []).shape == (0,)
