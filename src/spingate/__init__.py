@@ -6,7 +6,7 @@ tools to study how the compiled gate degrades under coherent parameter
 noise and amplitude damping.
 """
 
-from .ansatz import AnsatzCircuit, GateOp, apply_circuit, build_hva, circuit_unitary
+from .ansatz import AnsatzCircuit, apply_circuit, build_hva, circuit_unitary
 from .cost import CostEvaluator, GradientStats
 from .errors import (ConfigError, DimMismatch, InvalidDepth, InvalidQubitCount,
                      LengthMismatch, NegativeAmplitude,

@@ -6,7 +6,9 @@ m times with the same parameter vector (parameters are shared across layers,
 so the circuit has Q knobs regardless of depth).  In rotation-gate language
 each factor is R_alpha(2 theta_j) on one site or R_alpha,alpha(2 theta_j)
 on an adjacent pair: the conventional half-angle in the exponent means the
-applied rotation angle is twice theta_j.
+applied rotation angle is twice theta_j.  The spec is the only description
+of a layer: the dense kernels use its Pauli strings, and the statevector
+oracle reads each term's sites and local Pauli from its letters.
 
 The paper's slice duration t0 is 1, so it does not appear: the parameters
 are dimensionless angles with period 2*pi, which the cost's wrapping of
@@ -26,31 +28,11 @@ from .linalg import apply_to_qubits, kron
 
 
 @dataclass(frozen=True)
-class GateOp:
-    """One rotation factor of a layer: exp(-i theta_j P) on `qubits`."""
-
-    axis: str
-    qubits: tuple[int, ...]
-    param_index: int
-
-    @property
-    def kind(self) -> str:
-        return "single-rotation" if len(self.qubits) == 1 else "two-rotation"
-
-    def local_generator(self) -> np.ndarray:
-        """The Pauli acting on just this gate's qubits (2x2 or 4x4)."""
-        if len(self.qubits) == 1:
-            return PAULI_1Q[self.axis]
-        return kron(PAULI_1Q[self.axis], PAULI_1Q[self.axis])
-
-
-@dataclass(frozen=True)
 class AnsatzCircuit:
-    """m identical layers of per-term rotations; all layers share one theta."""
+    """m identical layers, factor j generated by spec.terms[j]; one shared theta."""
 
     spec: HamiltonianSpec
     m: int
-    layer: tuple[GateOp, ...]
 
     @property
     def n(self) -> int:
@@ -60,24 +42,12 @@ class AnsatzCircuit:
     def q(self) -> int:
         return self.spec.q
 
-    @property
-    def gate_count(self) -> int:
-        return self.m * len(self.layer)
-
-    def two_qubit_gate_count(self) -> int:
-        return self.m * sum(1 for g in self.layer if len(g.qubits) == 2)
-
 
 def build_hva(spec: HamiltonianSpec, m: int) -> AnsatzCircuit:
     """Build the m-layer circuit for a Hamiltonian spec; m must be >= 1."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
         raise InvalidDepth(f"layer count must be a positive integer, got {m!r}")
-    gates = []
-    for j, term in enumerate(spec.terms):
-        qubits = tuple(i + 1 for i, c in enumerate(term.letters) if c != "I")
-        axis = next(c for c in term.letters if c != "I")
-        gates.append(GateOp(axis=axis, qubits=qubits, param_index=j))
-    return AnsatzCircuit(spec=spec, m=int(m), layer=tuple(gates))
+    return AnsatzCircuit(spec=spec, m=int(m))
 
 
 def _check_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
@@ -182,11 +152,12 @@ def apply_circuit(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray) ->
     if circuit.n > n_reg:
         raise DimMismatch(f"circuit on {circuit.n} qubits does not fit a {n_reg}-qubit register")
     locals_ = []
-    for g in circuit.layer:
-        gen = g.local_generator()
-        ang = theta[g.param_index]
+    for term, ang in zip(circuit.spec.terms, theta):
+        # the term's Pauli on just its own (1-based) sites: 2x2 or 4x4
+        qubits = tuple(i + 1 for i, c in enumerate(term.letters) if c != "I")
+        gen = kron(*(PAULI_1Q[term.letters[q - 1]] for q in qubits))
         mat = np.cos(ang) * np.eye(gen.shape[0]) - 1j * np.sin(ang) * gen
-        locals_.append((mat, g.qubits))
+        locals_.append((mat, qubits))
     out = psi
     for _ in range(circuit.m):
         for mat, qubits in locals_:

@@ -1,5 +1,9 @@
 """Command-line front end: one subcommand per experiment kind.
 
+The subcommand sets `[experiment] kind` and each flag one INI key
+(`_FLAGS`); their text replaces the `--config` file's before anything is
+parsed, so every value goes through the INI schema.
+
 Exit codes: 0 on success, 2 on configuration errors (bad config file,
 unknown keys, invalid values, unresolvable target), 3 on numerical
 failures during a run.
@@ -8,19 +12,21 @@ failures during a run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import ConfigError, SpingateError
-from .harness import (DEFAULT_MASTER_SEED, ExperimentConfig, _parse_int_list,
-                      load_config, run_experiment)
+from .harness import _SCHEMA, EXPERIMENT_KINDS, load_config, run_experiment
 
-_SUBCOMMAND_KIND = {
-    "compile": "compile",
-    "trotter-sweep": "trotter-sweep",
-    "noise-sweep": "coherent-noise-sweep",
-    "damping-sweep": "damping-sweep",
-    "grad-stats": "grad-stats",
+# each subcommand is its experiment kind, coherent-noise-sweep shortened
+_SUBCOMMAND_KIND = {kind.removeprefix("coherent-"): kind for kind in EXPERIMENT_KINDS}
+
+# flag -> (help, INI section, INI key)
+_FLAGS = {
+    "seed": ("master seed", "experiment", "master_seed"),
+    "out": ("output directory", "experiment", "output_dir"),
+    "target": ("target gate name or matrix file", "experiment", "target"),
+    "m": ("depth, or comma-separated depth list", "experiment", "m"),
+    "restarts": ("optimizer restarts", "optimizer", "restarts"),
 }
 
 
@@ -32,47 +38,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMAND_KIND:
         p = sub.add_parser(name, help=f"run a {name} experiment")
-        p.add_argument("--config", help="INI config file (flags override it)")
-        p.add_argument("--seed", type=int, help="master seed "
-                       f"(default {DEFAULT_MASTER_SEED})")
-        p.add_argument("--out", help="output directory (default runs)")
-        p.add_argument("--target", help="target gate name or matrix file")
-        p.add_argument("--m", help="depth, or comma-separated depth list")
-        p.add_argument("--restarts", type=int, help="optimizer restarts")
+        p.add_argument("--config", help="INI config file (flags replace its keys)")
+        for flag, (what, section, key) in _FLAGS.items():
+            cls, attr, _ = _SCHEMA[section, key]
+            default = getattr(cls(), attr)
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            p.add_argument(f"--{flag}", help=f"{what} ([{section}] {key}, default {default})")
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace,
-                     kind: str) -> ExperimentConfig:
-    updates: dict = {}
-    if cfg.kind != kind:
-        updates["kind"] = kind
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if args.target is not None:
-        updates["target"] = args.target
-    if args.m is not None:
-        updates["m"] = _parse_int_list(args.m)
-    if args.restarts is not None:
-        updates["optimizer"] = dataclasses.replace(cfg.optimizer,
-                                                   restarts=args.restarts)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    kind = _SUBCOMMAND_KIND[args.command]
+    args = build_parser().parse_args(argv)
+    settings = {("experiment", "kind"): _SUBCOMMAND_KIND[args.command]}
+    for flag, (_, section, key) in _FLAGS.items():
+        if getattr(args, flag) is not None:
+            settings[section, key] = getattr(args, flag)
     try:
-        cfg = load_config(args.config) if args.config else ExperimentConfig(kind=kind)
-        cfg = _apply_overrides(cfg, args, kind)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = run_experiment(cfg)
+        record = run_experiment(load_config(args.config, settings))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,16 +8,17 @@ Five experiment kinds cover the package's workflows:
 * damping-sweep       -- re-optimization under amplitude damping per p
 * grad-stats          -- per-coordinate gradient variance over random inits
 
-Configs are INI files (configparser).  `_SCHEMA` is the one list of INI
-keys: each maps to a field of ExperimentConfig, OptimizerConfig or
-InitScheme, and every default lives on those dataclasses, so a key that
-is absent or empty leaves its field at the dataclass default.  Unknown
-sections or keys are rejected so a typo cannot silently fall back to a
-default.  Every run writes into a fresh run-scoped subdirectory (never
-overwriting), emits one JSON RunRecord plus per-experiment CSVs, and
-derives every random stream from the single master seed, so a re-run
-with the same config reproduces all emitted numbers except wall-time
-fields.
+Configs are INI files (configparser, values literal) with settings, such
+as command-line flags, laid over single keys.  `_SCHEMA` is the one list
+of INI keys: each maps to a field of ExperimentConfig, OptimizerConfig or
+InitScheme, and every default lives on those dataclasses, so a file key
+that is absent or empty leaves its field at the dataclass default.
+Unknown sections or keys and a [DEFAULT] section are rejected so a typo
+cannot silently fall back to a default.  Every run writes into a fresh
+run-scoped subdirectory (never overwriting), emits one JSON RunRecord
+plus per-experiment CSVs, and derives every random stream from the
+single master seed, so a re-run with the same config reproduces all
+emitted numbers except wall-time fields.
 """
 
 from __future__ import annotations
@@ -217,17 +218,27 @@ _SCHEMA = {
 }
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an INI experiment config."""
-    parser = configparser.ConfigParser()
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+def load_config(path: str | Path | None = None,
+                settings: dict[tuple[str, str], str] | None = None) -> ExperimentConfig:
+    """Parse and validate an INI config file with `settings` laid over it.
 
+    `settings` maps a `_SCHEMA` (section, key) to text that replaces the
+    file's before anything is parsed, so a replaced file value is never
+    checked.  An absent or empty file key takes its dataclass default; an
+    empty setting is a ConfigError.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    if path is not None:
+        try:
+            parser.read_string(Path(path).read_text(), source=str(path))
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] section is not supported: {sorted(parser.defaults())}")
     for section in parser.sections():
         keys = {key for sec, key in _SCHEMA if sec == section}
         if not keys:
@@ -235,10 +246,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
         extra = set(parser.options(section)) - keys
         if extra:
             raise ConfigError(f"unknown key(s) in [{section}]: {sorted(extra)}")
+    settings = settings or {}
+    for (section, key), raw in settings.items():
+        if (section, key) not in _SCHEMA:
+            raise ConfigError(f"unknown setting [{section}] {key}")
+        if not raw.strip():
+            raise ConfigError(f"[{section}] {key}: empty value")
 
     kwargs = {ExperimentConfig: {}, OptimizerConfig: {}, InitScheme: {}}
     for (section, key), (cls, name, parse) in _SCHEMA.items():
-        raw = parser.get(section, key, fallback="").strip()
+        raw = settings.get((section, key), parser.get(section, key, fallback="")).strip()
         if raw == "":
             continue
         try:

@@ -450,12 +450,11 @@ class RestartSummary:
         if conv.any():
             out["mean_final_cost_converged"] = float(costs[conv].mean())
             out["std_final_cost_converged"] = float(costs[conv].std())
-        disp = 0.0
+        # the largest pairwise max-norm distance: rounding is monotone, so the
+        # per-coordinate max - min equals the pairwise maximum bit for bit
         finals = [t.final_theta for t, c in zip(self.traces, conv) if c]
-        for i in range(len(finals)):
-            for j in range(i + 1, len(finals)):
-                disp = max(disp, float(np.max(np.abs(finals[i] - finals[j]))))
-        out["parameter_dispersion_converged"] = disp
+        out["parameter_dispersion_converged"] = (
+            float(np.ptp(finals, axis=0).max()) if len(finals) > 1 else 0.0)
         return out
 
 

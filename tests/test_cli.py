@@ -11,6 +11,7 @@ import pytest
 from spingate import cli
 from spingate.cli import main
 from spingate.errors import NumericalFailure
+from spingate.harness import _SCHEMA
 from spingate.optimize import MAX_COUNT
 
 
@@ -76,6 +77,44 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert record["config"]["optimizer"]["max_iters"] == 6
 
 
+@pytest.mark.parametrize("bad, flags", [
+    # the subcommand replaces the kind, and compile never parses the empty grid
+    (("kind = compile", "kind = damping-sweep"), ["compile"]),
+    (("m = 1", "m = 2,2"), ["compile", "--m", "1"]),
+])
+def test_flag_replaces_a_bad_file_value_unchecked(tmp_path, bad, flags):
+    ini = write_tiny_ini(tmp_path / "exp.ini", extra="[damping]\ngrid = ,\n")
+    ini.write_text(ini.read_text().replace(*bad))
+    out = tmp_path / "out"
+    assert main([*flags, "--config", str(ini), "--out", str(out)]) == 0
+    record = find_record(out)
+    assert record["experiment"] == "compile"
+    assert record["results"]["m"] == 1
+
+
+@pytest.mark.parametrize("flags", [["--m", ""], ["--m", " "], ["--seed", "abc"],
+                                   ["--restarts", "1.5"], ["--out", ""]])
+def test_bad_flag_text_is_a_config_error(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    # the last --out wins, so an empty one replaces this one
+    assert main(["compile", "--out", "out", *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_flag_is_an_ini_key(capsys):
+    keys = [(section, key) for _, section, key in cli._FLAGS.values()]
+    assert set(keys) <= set(_SCHEMA)
+    assert len(set(keys)) == len(keys)
+    with pytest.raises(SystemExit):
+        main(["compile", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, (_, section, key) in cli._FLAGS.items():
+        assert f"--{flag} {flag.upper()} " in text
+        assert f"([{section}] {key}, default " in text
+    assert "master seed ([experiment] master_seed, default 10)" in text
+
+
 def test_subcommand_beats_config_kind(tmp_path):
     ini = write_tiny_ini(tmp_path / "exp.ini")
     out = tmp_path / "out"
@@ -113,6 +152,43 @@ def test_unknown_target_exits_2(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["compile", "--config", str(tmp_path / "absent.ini")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text().replace("m = 1", "m = 1\ntarget = fredkin"))
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    # what a mode-000 file gives a user without root
+    monkeypatch.setattr(Path, "read_text", denied)
+    out = tmp_path / "out"
+    assert main(["compile", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Permission denied" in err
+    assert not out.exists()
+
+
+def test_percent_in_config_value_is_literal(tmp_path, capsys):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    out = tmp_path / "runs%1"
+    ini.write_text(ini.read_text().replace("m = 1", f"m = 1\noutput_dir = {out}"))
+    assert main(["compile", "--config", str(ini)]) == 0
+    assert find_record(out)["config"]["output_dir"] == str(out)
+    ini.write_text(ini.read_text().replace("master_seed = 3", "master_seed = 3%"))
+    assert main(["compile", "--config", str(ini)]) == 2
+    assert "config error: [experiment] master_seed: cannot parse '3%'" in capsys.readouterr().err
+
+
+def test_default_section_exits_2(tmp_path, capsys):
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text("[DEFAULT]\nfoo = 1\n" + ini.read_text())
+    out = tmp_path / "out"
+    assert main(["compile", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[DEFAULT]" in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -224,6 +224,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="grid"):
             load_config(p)
 
+    def test_settings_replace_file_text(self, tmp_path):
+        p = tmp_path / "exp.ini"
+        p.write_text("[experiment]\nm = 2,2\nmaster_seed = 4\n[optimizer]\nrestarts = x\n")
+        cfg = load_config(p, {("experiment", "m"): "3", ("optimizer", "restarts"): "2"})
+        assert (cfg.m, cfg.master_seed, cfg.optimizer.restarts) == ((3,), 4, 2)
+        assert load_config(settings={("experiment", "m"): "2"}).m == (2,)
+        with pytest.raises(ConfigError, match="unknown setting"):
+            load_config(p, {("experiment", "gate"): "toffoli"})
+        with pytest.raises(ConfigError, match="empty value"):
+            load_config(p, {("experiment", "m"): ""})
+
     def test_invalid_optimizer_value_becomes_config_error(self, tmp_path):
         p = tmp_path / "exp.ini"
         p.write_text("[optimizer]\nalgorithm = adam\n")

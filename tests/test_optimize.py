@@ -7,8 +7,8 @@ from spingate.ansatz import build_hva
 from spingate.cost import CostEvaluator
 from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec
-from spingate.optimize import (InitScheme, OptimizerConfig, RestartSummary,
-                               lbfgs_minimize, multi_restart,
+from spingate.optimize import (InitScheme, OptimizationTrace, OptimizerConfig,
+                               RestartSummary, lbfgs_minimize, multi_restart,
                                nelder_mead_minimize, run_single_restart)
 from spingate.targets import toffoli
 
@@ -292,6 +292,27 @@ def test_restart_summary_stats():
     assert st["mean_final_cost"] == pytest.approx(
         0.5 * (good.final_cost + stalled.final_cost))
     assert st["parameter_dispersion_converged"] == 0.0
+
+
+@pytest.mark.parametrize("n_converged", [0, 1, 2, 5])
+def test_parameter_dispersion_matches_pairwise_reference(n_converged):
+    rng = np.random.default_rng(n_converged)
+    traces = []
+    for i in range(11):
+        # converged restarts sit at odd indices among wider unconverged ones
+        converged = i % 2 == 1 and i // 2 < n_converged
+        theta = rng.normal(size=15) * (1.0 if converged else 10.0)
+        traces.append(OptimizationTrace(
+            restart_index=i, algorithm="lbfgs", costs=np.zeros(1), metric=np.zeros(1),
+            elapsed_ms=np.zeros(1), theta_history=theta[None], final_theta=theta,
+            final_cost=0.0, converged=converged, stop_reason="cost-tolerance", n_evals=1))
+    summary = RestartSummary(traces=traces, best_index=0, seeds=[[0, i] for i in range(11)])
+    finals = [t.final_theta for t in traces if t.converged]
+    expect = max((float(np.max(np.abs(a - b)))
+                  for i, a in enumerate(finals) for b in finals[i + 1:]), default=0.0)
+    assert summary.stats()["n_converged"] == n_converged
+    assert summary.stats()["parameter_dispersion_converged"] == expect
+    assert (expect > 0.0) == (n_converged > 1)
 
 
 def test_run_single_restart_matches_manual(small_evaluator):
