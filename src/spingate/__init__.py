@@ -9,8 +9,7 @@ noise and amplitude damping.
 from .ansatz import AnsatzCircuit, apply_circuit, build_hva, circuit_unitary
 from .cost import CostEvaluator, GradientStats
 from .errors import (ConfigError, DimMismatch, InvalidDepth, InvalidQubitCount,
-                     LengthMismatch, NegativeAmplitude,
-                     NoisyModeUnsupported, NotHermitian, NotUnitary,
+                     LengthMismatch, NegativeAmplitude, NotHermitian, NotUnitary,
                      NumericalFailure, OutOfRange, SpingateError, UnknownGate)
 from .hamiltonian import (HamiltonianSpec, PauliString, assemble,
                           format_parameters, heisenberg_spec, parse_parameters,

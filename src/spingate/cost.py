@@ -25,13 +25,17 @@ A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
 broadcasting kernel as `cost` over chunks of rows, and every row's cost
 equals the single-vector cost bit for bit.
 
-Gradients exist for the noiseless modes only: a central finite difference
-(2Q cost calls) and an adjoint-style sweep that uses the shared layer:
-one pass over the layer's factors plus O(m) products for the depth.
-`gradients` runs the adjoint sweep over a (B, Q) stack, COST_CHUNK_ROWS
-rows per broadcast call, and `gradient` is its one-row case, so every
-row's gradient equals the single-vector gradient bit for bit.  Neither
-counts towards eval_count, which counts cost evaluations only.
+Every mode has two gradients: a central finite difference (2Q cost calls)
+and an adjoint-style sweep that uses the shared layer: one pass over the
+layer's factors plus O(m) products for the depth.  The noiseless modes
+feed the sweep the environment of V^dag; the density mode reduces the
+real environment of its superoperators through the Kraus stack to a
+complex 8x8 environment of the layer and feeds the sweep that.
+`gradients` runs the noiseless sweep over a (B, Q) stack,
+COST_CHUNK_ROWS rows per broadcast call, and the density gradient row by
+row (stacked 64x64 rows run slower); `gradient` is its one-row case, so
+every row's gradient equals the single-vector gradient bit for bit.
+Neither counts towards eval_count, which counts cost evaluations only.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ import numpy as np
 
 from .ansatz import (AnsatzCircuit, circuit_unitary, gate_matrices,
                      layer_unitary)
-from .errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
-                     NumericalFailure)
+from .errors import DimMismatch, LengthMismatch, NumericalFailure
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
 from .seeding import derive_rng
@@ -183,9 +186,7 @@ class CostEvaluator:
         return 1.0 - self.cost(theta)
 
     def gradient(self, theta: np.ndarray, method: str = "adjoint") -> np.ndarray:
-        """dC/dtheta for noiseless modes; raises NoisyModeUnsupported otherwise."""
-        if self.noisy:
-            raise NoisyModeUnsupported("gradients are defined for noiseless modes only")
+        """dC/dtheta by the adjoint sweep or by central differences."""
         if method == "central-diff":
             return self._gradient_central(theta)
         if method == "adjoint":
@@ -195,11 +196,12 @@ class CostEvaluator:
     def gradients(self, thetas: np.ndarray) -> np.ndarray:
         """Adjoint gradients of a (B, Q) stack, row r equal to gradient(thetas[r]) bit for bit.
 
-        Runs the adjoint sweep on COST_CHUNK_ROWS rows per broadcast call.
+        The noiseless modes run the adjoint sweep on COST_CHUNK_ROWS rows
+        per broadcast call; the density mode answers row by row.
         """
-        if self.noisy:
-            raise NoisyModeUnsupported("gradients are defined for noiseless modes only")
         thetas = self._check(thetas, ndim=2)
+        if self.noisy:
+            return np.array([self._density_gradient(row) for row in thetas]).reshape(thetas.shape)
         out = np.empty(thetas.shape)
         for start in range(0, len(thetas), COST_CHUNK_ROWS):
             out[start:start + COST_CHUNK_ROWS] = self._gradient_adjoint(
@@ -223,33 +225,76 @@ class CostEvaluator:
 
         With T = Tr(V^dag U), U = L^m and every layer sharing theta,
         dT/dtheta_j = Tr(M dL/dtheta_j) with the environment
-        M = sum_l L^l V^dag L^(m-1-l).  Writing L = G_(Q-1) ... G_0 with
-        G_j = exp(-i theta_j P_j), dL/dtheta_j inserts -i P_j after
-        G_j, so dT/dtheta_j = -i Tr(P_j F_j B_j) with the prefix
-        F_j = G_j ... G_0 and the suffix B_j = M G_(Q-1) ... G_(j+1).  This
-        costs O(m + Q) matrix products instead of O(mQ).  Then
-        dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).  Every product is
-        the same per-matrix multiplication for each row of the stack.
+        M = sum_l L^l V^dag L^(m-1-l) (`_layer_sweep`).  Then
+        dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).
         """
-        circuit = self.circuit
-        m, d = circuit.m, self._dim
-        gs = np.moveaxis(gate_matrices(circuit, thetas), 1, 0)  # (Q, B, d, d)
-        fwd = np.empty_like(gs)
-        fwd[0] = gs[0]
-        for j in range(1, len(gs)):
-            fwd[j] = gs[j] @ fwd[j - 1]
-        layer = fwd[-1]
-        powers = [np.eye(d, dtype=complex)]
-        for _ in range(m - 1):
-            powers.append(layer @ powers[-1])
-        t_val = np.trace(self._v_dag @ layer @ powers[-1], axis1=-2, axis2=-1)
-        env = sum(powers[l] @ self._v_dag @ powers[m - 1 - l] for l in range(m))
-        back = np.empty_like(gs)
-        back[-1] = env
-        for j in range(len(gs) - 2, -1, -1):
-            back[j] = back[j + 1] @ gs[j + 1]
-        dt = -1j * np.einsum("jab,jrbc,jrca->rj", circuit.spec.matrices(), fwd, back)
+        d = self._dim
+        gs, fwd = _layer_factors(self.circuit, thetas)
+        powers = _powers(fwd[-1], self.circuit.m)
+        t_val = np.trace(self._v_dag @ fwd[-1] @ powers[-1], axis1=-2, axis2=-1)
+        dt = _layer_sweep(self.circuit, gs, fwd, _depth_environment(powers, self._v_dag))
         return -(2.0 / (d * d)) * (np.conj(t_val)[:, None] * dt).real
+
+    def _step_environment(self, u: np.ndarray, env: np.ndarray) -> np.ndarray:
+        """Complex 8x8 G with <env, d step(u)> = Re Tr(G du), step(u) = _real_superop(A u).
+
+        `_real_superop` reads each step entry as a weighted float of the
+        interleaved product P = X^T conj(X), X[k] = vec(A_k u).  Its adjoint
+        scatters env times the weights back onto P's floats, giving a
+        complex P-bar with <env, d step> = Re sum conj(P-bar) dP; then
+        dP = dX^T conj(X) + X^T conj(dX) gives Re sum dX W with
+        W = conj(X) (P-bar + P-bar^dag), and dX[k] = A_k du gives
+        G = sum_k W_k^T A_k.
+        """
+        kraus = self._kraus
+        x = (kraus @ u).reshape(len(kraus), -1)
+        n = x.shape[1]
+        bar = np.bincount(self._gather_index.ravel(), (self._gather_weight * env).ravel(),
+                          minlength=2 * n * n).view(complex).reshape(n, n)
+        w = x.conj() @ (bar + bar.conj().T)
+        d = u.shape[-1]
+        return w.reshape(-1, d).T @ kraus.reshape(-1, d)
+
+    def _density_gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Exact gradient of the density cost for one wrapped vector.
+
+        p = <R, T> with R the readout and T the circuit's real
+        superoperator; dC = -dp (the clip of p to [0, 1] is not
+        differentiated).  For T = S^m, dp = <E, dS> with the real
+        environment E = sum_l (S^T)^l R (S^T)^(m-1-l), and
+        `_step_environment` turns <E, d step(u)> into Re Tr(G du):
+        * after each layer, S = step(L), and G feeds the layer sweep;
+        * final-only, T = step(L^m): G is R's environment of L^m, which
+          the noiseless depth environment carries to L;
+        * after each gate, S = S_(Q-1) ... S_0 with S_j = step(G_j), so
+          gate j sees (S_(Q-1) ... S_(j+1))^T E (S_(j-1) ... S_0)^T, and
+          dG_j/dtheta_j = -i P_j G_j.
+        """
+        circuit, kraus, m = self.circuit, self._kraus, self.circuit.m
+        gs, fwd = _layer_factors(circuit, theta[None])
+        layer = fwd[-1]
+        placement = self.plan.placement
+        if placement == "final-only":
+            powers = _powers(layer, m)
+            g = self._step_environment((layer @ powers[-1])[0], self._readout)
+            return -_layer_sweep(circuit, gs, fwd, _depth_environment(powers, g))[0].real
+        if placement == "after-each-layer":
+            step = self._real_superop(kraus @ layer[0])
+            env = _depth_environment(_powers(step.T, m), self._readout)
+            g = self._step_environment(layer[0], env)
+            return -_layer_sweep(circuit, gs, fwd, g)[0].real
+        steps = [self._real_superop(kraus @ g) for g in gs[:, 0]]
+        before = [np.eye(len(steps[0]))]  # before[j] = S_(j-1) ... S_0
+        for s in steps[:-1]:
+            before.append(s @ before[-1])
+        after = _depth_environment(_powers((steps[-1] @ before[-1]).T, m), self._readout)
+        paulis = circuit.spec.matrices()
+        grad = np.empty(circuit.q)
+        for j in reversed(range(circuit.q)):
+            g = self._step_environment(gs[j, 0], after @ before[j].T)
+            grad[j] = -np.trace(g @ (-1j * paulis[j]) @ gs[j, 0]).real
+            after = steps[j].T @ after
+        return grad
 
     def gradient_stats(self, samples: int, init, seed: int) -> "GradientStats":
         """Variance of each gradient coordinate over init-scheme draws.
@@ -270,6 +315,54 @@ class CostEvaluator:
             variance=grads.var(axis=0),
             overall_variance=float(grads.var()),
         )
+
+
+def _layer_factors(circuit: AnsatzCircuit, thetas: np.ndarray):
+    """Factors gs[j] = G_j and prefixes fwd[j] = G_j ... G_0 of a (B, Q) stack.
+
+    Both are (Q, B, d, d) arrays.
+    """
+    gs = np.moveaxis(gate_matrices(circuit, thetas), 1, 0)
+    fwd = np.empty_like(gs)
+    fwd[0] = gs[0]
+    for j in range(1, len(gs)):
+        fwd[j] = gs[j] @ fwd[j - 1]
+    return gs, fwd
+
+
+def _powers(a: np.ndarray, m: int) -> list[np.ndarray]:
+    """[I, a, a^2, ..., a^(m-1)] for a square matrix or a stack of them."""
+    powers = [np.eye(a.shape[-1], dtype=a.dtype)]
+    for _ in range(m - 1):
+        powers.append(a @ powers[-1])
+    return powers
+
+
+def _depth_environment(powers: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """sum_l a^l x a^(m-1-l) from powers = [I, a, ..., a^(m-1)].
+
+    Tr(x d(a^m)) = Tr(env da), and for real matrices
+    <x, d(a^m)> = <env', da> with env' built the same way from a^T.
+    """
+    m = len(powers)
+    return sum(powers[l] @ x @ powers[m - 1 - l] for l in range(m))
+
+
+def _layer_sweep(circuit: AnsatzCircuit, gs: np.ndarray, fwd: np.ndarray,
+                 env: np.ndarray) -> np.ndarray:
+    """d Tr(M L)/dtheta_j for each row of a stack, a (B, Q) complex array.
+
+    L = G_(Q-1) ... G_0 with G_j = exp(-i theta_j P_j), so dL/dtheta_j
+    inserts -i P_j after G_j and d Tr(M L)/dtheta_j = -i Tr(P_j F_j B_j)
+    with the prefix F_j = fwd[j] and the suffix B_j = M G_(Q-1) ... G_(j+1).
+    This costs O(Q) matrix products instead of O(Q^2).  Every product is
+    the same per-matrix multiplication for each row of the stack.
+    """
+    back = np.empty_like(gs)
+    back[-1] = env
+    for j in range(len(gs) - 2, -1, -1):
+        back[j] = back[j + 1] @ gs[j + 1]
+    return -1j * np.einsum("jab,jrbc,jrca->rj", circuit.spec.matrices(), fwd, back)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ class NegativeAmplitude(SpingateError, ValueError):
     """Noise amplitudes must be non-negative."""
 
 
-class NoisyModeUnsupported(SpingateError, RuntimeError):
-    """Analytic gradients are only defined for noiseless cost modes."""
-
-
 class ConfigError(SpingateError, ValueError):
     """Malformed or unknown experiment configuration."""
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +42,7 @@ from .hamiltonian import format_parameters, heisenberg_spec
 from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_grid,
                     robustness_sweep)
 from .optimize import (MAX_COUNT, InitScheme, OptimizerConfig, RestartSummary,
-                       multi_restart, nelder_mead_minimize)
+                       multi_restart, retrain)
 from .seeding import derive_rng, derive_subseed
 from .simulator import PLACEMENTS, NoisyCircuitPlan, amplitude_damping
 from .targets import resolve_target
@@ -58,6 +60,9 @@ MAX_GRID_POINTS = 10_000
 # a start:stop:step spec must reach stop within this many steps; float
 # rounding of a spec that does is orders of magnitude below it
 GRID_STOP_TOLERANCE = 1e-9
+# deepest circuit a run may ask for: the paper's depths stop at 12, and
+# a depth such as 10**9 would hang a compile or a trotter sweep's range
+MAX_DEPTH = 100
 
 # Four independent stream labels keep the restart draws, the noise
 # realizations, the damping warm kicks, and the grad-stats inits from
@@ -94,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.m or any(int(v) < 1 for v in self.m):
             raise ConfigError(f"depth list must be positive integers, got {self.m!r}")
+        if any(int(v) > MAX_DEPTH for v in self.m):
+            raise ConfigError(f"depths must be at most {MAX_DEPTH}, got {self.m!r}")
         for name in ("m", "noise_kinds", "damping_grid"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -309,13 +316,45 @@ def _fresh_run_dir(cfg: ExperimentConfig) -> Path:
     raise RuntimeError("could not allocate a fresh run directory")
 
 
+def _non_finite_cell(text: str) -> str | None:
+    """The first comma- or space-separated cell of `text` that is NaN or infinite, else None.
+
+    Python writes such floats as nan, inf and -inf, so only the lines
+    that hold an "n" (headers and labels aside, none do) are parsed.
+    """
+    end = 0
+    while (pos := text.find("n", end)) >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        for cell in re.split(r"[,\s]+", text[start:end]):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a label or a header
+            if not math.isfinite(value):
+                return cell
+    return None
+
+
 def _write_run(cfg: ExperimentConfig, run_dir: Path | None, results: dict,
                files: dict) -> RunRecord:
     """Write `files` in order, then the run's RunRecord as run_record.json.
 
-    `files` maps a file name to its text.  The run directory is allocated
-    here, after the compute, unless given.
+    `files` maps a file name to its text.  A non-finite float in `results`
+    or in a cell of `files` raises NumericalFailure before anything is
+    written.  The run directory is allocated here, after the compute,
+    unless given.
     """
+    for name, content in files.items():
+        bad = _non_finite_cell(content)
+        if bad is not None:
+            raise NumericalFailure(f"{name} holds the non-finite value {bad!r}")
+    try:
+        json.dumps(results, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"run results hold a non-finite value: {exc}") from exc
     run_dir = run_dir or _fresh_run_dir(cfg)
     for name, content in files.items():
         (run_dir / name).write_text(content)
@@ -343,8 +382,9 @@ def _summary_dict(summary: RestartSummary) -> dict:
 
 
 def _csv(header: list[str], rows) -> str:
-    """CSV text of a header and rows of cells, each cell written by str."""
-    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    """CSV text of a header and rows of cells, each written by str; None is an empty cell."""
+    return "".join(",".join("" if cell is None else str(cell) for cell in row) + "\n"
+                   for row in [header, *rows])
 
 
 # The two per-iteration tables are the bulk of a compile's output, so they
@@ -409,8 +449,9 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
     """Independent compile per depth; emits the fidelity-vs-m curve.
 
     Each row carries the all-restart mean/std, the converged-only mean
-    (empty population -> nan), and the best restart's fidelity, so both
-    readings of the restart statistics stay available downstream.
+    (an empty cell when no restart converged), and the best restart's
+    fidelity, so both readings of the restart statistics stay available
+    downstream.
     """
     depths = _depths(cfg)
     rows = []
@@ -419,8 +460,8 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
         summary = multi_restart(_evaluator(cfg, m), cfg.init, cfg.optimizer)
         fid = 1.0 - summary.final_costs
         conv = np.array([t.converged for t in summary.traces])
-        conv_mean = float(fid[conv].mean()) if conv.any() else float("nan")
-        conv_std = float(fid[conv].std()) if conv.any() else float("nan")
+        conv_mean = float(fid[conv].mean()) if conv.any() else None
+        conv_std = float(fid[conv].std()) if conv.any() else None
         rows.append([m, float(fid.mean()), float(fid.std()), conv_mean, conv_std,
                      int(conv.sum()), float(fid.max())])
         per_m[str(m)] = _summary_dict(summary)
@@ -489,17 +530,19 @@ def _damping_inits(cfg: ExperimentConfig, theta_star: np.ndarray,
 
 
 def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
-    """Nelder-Mead re-optimization of the noisy cost at each damping level."""
+    """Re-optimization of the noisy cost at each damping level.
+
+    Each start is re-trained by `optimize.retrain`: a short Nelder-Mead
+    phase, then an L-BFGS polish on the exact density gradient.
+    """
     noiseless = _evaluator(cfg, cfg.single_m)
     summary = multi_restart(noiseless, cfg.init, cfg.optimizer)
     circuit = noiseless.circuit
 
-    nm_cfg = OptimizerConfig(
-        algorithm="nelder-mead",
+    retrain_cfg = OptimizerConfig(
         cost_tolerance=cfg.optimizer.cost_tolerance,
         simplex_step=cfg.optimizer.simplex_step,
         spread_tolerance=cfg.optimizer.spread_tolerance,
-        restarts=cfg.damping_restarts,
     )
 
     rows = []
@@ -509,17 +552,13 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
                                 placement=cfg.damping_placement)
         evaluator = CostEvaluator(circuit, noiseless.target, mode="hs-test-density",
                                   plan=plan)
-        finals = []
         inits = _damping_inits(cfg, summary.best.final_theta, gi, circuit.q)
-        for i, theta0 in enumerate(inits):
-            try:
-                trace = nelder_mead_minimize(evaluator.cost, theta0, nm_cfg, restart_index=i)
-            except NumericalFailure as exc:
-                raise NumericalFailure(f"damping p={float(p)} (grid point {gi}): {exc}") from exc
-            finals.append(1.0 - trace.final_cost)
-        fid = np.array(finals)
-        rows.append([float(p), float(fid.mean()), float(fid.std()),
-                     len(finals)])
+        try:
+            traces = retrain(evaluator, inits, retrain_cfg)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"damping p={float(p)} (grid point {gi}): {exc}") from exc
+        fid = np.array([1.0 - t.final_cost for t in traces])
+        rows.append([float(p), float(fid.mean()), float(fid.std()), len(fid)])
         per_point[repr(float(p))] = {
             "mean_fidelity": float(fid.mean()), "std_fidelity": float(fid.std()),
             "min_fidelity": float(fid.min()), "max_fidelity": float(fid.max()),

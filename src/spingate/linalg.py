@@ -97,13 +97,3 @@ def apply_to_qubits(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
     t = np.moveaxis(t, list(range(k)), axes)
     return t.reshape(psi.shape)
 
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random dense Hermitian matrix of size n with O(1) entries."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + dagger(a)) / 2.0
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary: exponential of a random Hermitian generator."""
-    return hermitian_expm(random_hermitian(n, rng), 1.0)

@@ -24,16 +24,19 @@ value is the OptimizationTrace.  One loop, `_lockstep`, runs every
 generator: it advances a set of them in rounds and answers each round's
 requests with one call of a stacked cost and one of a stacked gradient.
 `multi_restart` hands it all restarts with the evaluator's `costs` and
-`gradients`; `lbfgs_minimize`, `nelder_mead_minimize` and
-`run_single_restart` hand it one generator, with their one-vector
-callables answering row by row.  A non-finite cost or gradient raises
-NumericalFailure naming the restart.  A trace's `elapsed_ms` counts from
-the restart's first step; in lockstep that is the start of the shared
-run, so it includes the time spent on the other restarts.
+`gradients`, and `retrain` all re-trainings, each a short Nelder-Mead
+phase chained into an L-BFGS polish; `lbfgs_minimize`,
+`nelder_mead_minimize` and `run_single_restart` hand it one generator,
+with their one-vector callables answering row by row.  A non-finite
+cost or gradient raises NumericalFailure naming the restart.  A trace's
+`elapsed_ms` counts from the restart's first step; in lockstep that is
+the start of the shared run, so it includes the time spent on the other
+restarts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -52,6 +55,8 @@ STALL_WINDOW = 5
 STALL_RTOL = 1e-2
 # standard deviation of the Gaussian kick that escapes a stall
 KICK_SIGMA = 0.5
+# Nelder-Mead iterations a re-training runs before its L-BFGS polish
+RETRAIN_SIMPLEX_ITERS = 150
 
 DEFAULT_MAX_ITERS = {"lbfgs": 200, "nelder-mead": 2000}
 # most restarts, re-trainings or samples one run may ask for: every
@@ -254,8 +259,11 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
     return _lockstep({restart_index: steps}, _rows(fun), _rows(grad))[restart_index]
 
 
-def _lbfgs_steps(x0, cfg, restart_index, rng):
-    """lbfgs_minimize as an ask/tell generator (see the module docstring)."""
+def _lbfgs_steps(x0, cfg, restart_index, rng, stall_rtol=STALL_RTOL):
+    """lbfgs_minimize as an ask/tell generator (see the module docstring).
+
+    `stall_rtol` replaces STALL_RTOL in the stall test.
+    """
     rec = _Recorder()
     x = wrap_angles(np.asarray(x0, dtype=float))
     f = yield "cost", x
@@ -279,7 +287,7 @@ def _lbfgs_steps(x0, cfg, restart_index, rng):
         window_start = row - STALL_WINDOW
         stalled = stationary or (
             window_start >= descent_start
-            and rec.costs[window_start] - f <= STALL_RTOL * rec.costs[window_start])
+            and rec.costs[window_start] - f <= stall_rtol * rec.costs[window_start])
         budget_left = row < cfg.resolved_max_iters
         if stalled and (rng is None or not budget_left):
             return done("gradient-tolerance" if stationary else "stalled")
@@ -491,3 +499,34 @@ def multi_restart(evaluator, init: InitScheme, cfg: OptimizerConfig) -> RestartS
     best_index = int(np.argmin([t.final_cost for t in ordered]))
     return RestartSummary(traces=ordered, best_index=best_index,
                           seeds=[[init.seed, i] for i in range(cfg.restarts)])
+
+
+def _retrain_steps(x0, cfg: OptimizerConfig, restart_index: int):
+    """One re-training as an ask/tell generator: a short simplex phase, then a polish.
+
+    RETRAIN_SIMPLEX_ITERS Nelder-Mead iterations from x0, then L-BFGS
+    from the best vertex with its default budget and no kicks, whose
+    stall test uses cfg.spread_tolerance in place of STALL_RTOL.  Returns
+    the polish's trace, whose row 0 is that vertex.
+    """
+    simplex = yield from _nelder_mead_steps(
+        x0, dataclasses.replace(cfg, algorithm="nelder-mead", max_iters=RETRAIN_SIMPLEX_ITERS),
+        restart_index)
+    polish_cfg = dataclasses.replace(cfg, algorithm="lbfgs", max_iters=None)
+    return (yield from _lbfgs_steps(simplex.final_theta, polish_cfg, restart_index, None,
+                                    stall_rtol=cfg.spread_tolerance))
+
+
+def retrain(evaluator, starts: list[np.ndarray], cfg: OptimizerConfig) -> list[OptimizationTrace]:
+    """Re-train from each start vector (see `_retrain_steps`), all in lockstep.
+
+    cfg gives the simplex step, the history size and the cost, gradient
+    and spread tolerances; its algorithm, max_iters and restarts are not
+    used.  Costs and
+    gradients come from `evaluator.costs` and `evaluator.gradients`;
+    trace i belongs to starts[i], and a non-finite value raises
+    NumericalFailure naming that index.
+    """
+    traces = _lockstep({i: _retrain_steps(x0, cfg, i) for i, x0 in enumerate(starts)},
+                       evaluator.costs, evaluator.gradients)
+    return [traces[i] for i in range(len(starts))]

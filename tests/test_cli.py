@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from spingate import cli
+from spingate import cli, harness
 from spingate.cli import main
 from spingate.errors import NumericalFailure
-from spingate.harness import _SCHEMA
+from spingate.harness import _SCHEMA, MAX_DEPTH
 from spingate.optimize import MAX_COUNT
 
 
@@ -277,6 +277,38 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", failing_run)
     assert main(["compile", "--m", "1", "--restarts", "1", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_training_csv", lambda summary: "restart,cost\n0,nan\n")
+    out = tmp_path / "out"
+    assert main(["compile", "--m", "1", "--restarts", "1", "--out", str(out)]) == 3
+    assert "training_curve.csv holds the non-finite value 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trotter_sweep_with_no_converged_restart_writes_empty_cells(tmp_path):
+    assert main(["trotter-sweep", "--m", "2", "--restarts", "2", "--out", str(tmp_path)]) == 0
+    lines = next(tmp_path.glob("*/trotter_sweep.csv")).read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[header.index("n_converged")] == "0"
+        assert row[header.index("mean_fidelity_converged")] == ""
+        assert row[header.index("std_fidelity_converged")] == ""
+
+
+@pytest.mark.parametrize("command", ["compile", "trotter-sweep"])
+def test_depth_over_the_cap_exits_2_before_compiling(tmp_path, capsys, monkeypatch, command):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a compile ran")
+
+    monkeypatch.setattr(harness, "multi_restart", no_compile)
+    out = tmp_path / "out"
+    assert main([command, "--m", str(MAX_DEPTH + 1), "--out", str(out)]) == 2
+    assert f"depths must be at most {MAX_DEPTH}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["0.1, 0.05", "-0.1, 0.0", "0, 0.05, 0.05"])

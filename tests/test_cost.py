@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from spingate.ansatz import build_hva, circuit_unitary, gate_matrices
 from spingate.cost import COST_CHUNK_ROWS, CostEvaluator
-from spingate.errors import (DimMismatch, LengthMismatch, NoisyModeUnsupported,
-                             NumericalFailure)
+from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger
 from spingate.optimize import InitScheme
-from spingate.simulator import (KrausChannel, NoisyCircuitPlan,
+from spingate.simulator import (PLACEMENTS, KrausChannel, NoisyCircuitPlan,
                                 amplitude_damping, bell_prep_state,
                                 evolve_density, readout_vector)
 from spingate.targets import fredkin, toffoli
@@ -155,10 +154,14 @@ def test_gradient_checks(spec3, rng):
     c = build_hva(spec3, 2)
     plan = NoisyCircuitPlan(c, amplitude_damping(0.1))
     noisy = CostEvaluator(c, toffoli(), mode="hs-test-density", plan=plan)
-    with pytest.raises(NoisyModeUnsupported):
-        noisy.gradient(np.zeros(15))
-    with pytest.raises(NoisyModeUnsupported):
-        noisy.gradients(np.zeros((2, 15)))
+    assert noisy.gradient(np.zeros(15)).shape == (15,)
+    assert noisy.gradients(np.zeros((2, 15))).shape == (2, 15)
+    assert noisy.gradients(np.zeros((0, 15))).shape == (0, 15)
+    for bad in (np.zeros(15), np.zeros((3, 16))):
+        with pytest.raises(LengthMismatch):
+            noisy.gradients(bad)
+    with pytest.raises(NumericalFailure):
+        noisy.gradient(np.full(15, np.inf))
     ev = make_eval(spec3)
     with pytest.raises(ValueError):
         ev.gradient(np.zeros(15), method="forward")
@@ -171,6 +174,34 @@ def test_gradient_checks(spec3, rng):
     stack[1, 4] = np.nan
     with pytest.raises(NumericalFailure):
         ev.gradients(stack)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_density_gradient_matches_central_diff(spec3, rng, placement):
+    worst = 0.0
+    for target in (toffoli(), fredkin()):
+        for m in (1, 2, 6):
+            c = build_hva(spec3, m)
+            for p in (0.0, 0.01, 0.3):
+                plan = NoisyCircuitPlan(c, amplitude_damping(p), placement)
+                ev = CostEvaluator(c, target, mode="hs-test-density", plan=plan)
+                theta = rng.normal(size=15)
+                gap = np.max(np.abs(ev.gradient(theta)
+                                    - ev.gradient(theta, method="central-diff")))
+                worst = max(worst, gap)
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_density_gradients_equal_single_gradients_bitwise(spec3, rng, placement):
+    c = build_hva(spec3, 3)
+    plan = NoisyCircuitPlan(c, depolarizing(0.05), placement, (1, 3))
+    ev = CostEvaluator(c, fredkin(), mode="hs-test-density", plan=plan)
+    stack = rng.uniform(-30.0, 30.0, size=(4, 15))
+    grads = ev.gradients(stack)
+    for row, grad in zip(stack, grads):
+        assert grad.tobytes() == ev.gradient(row).tobytes()
+    assert ev.eval_count == 0
 
 
 def test_evaluator_validation(spec3):

@@ -15,8 +15,9 @@ from spingate.cost import CostEvaluator
 from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, parse_parameters
 from spingate.harness import (_SCHEMA, DEFAULT_MASTER_SEED, EXPERIMENT_KINDS,
-                              MAX_GRID_POINTS, ExperimentConfig, _damping_inits,
-                              _parse_float_list, _parse_int_list, config_to_dict,
+                              MAX_DEPTH, MAX_GRID_POINTS, ExperimentConfig,
+                              _damping_inits, _parse_float_list, _parse_int_list,
+                              _write_run, config_to_dict,
                               load_config, run_compile,
                               run_coherent_noise_sweep, run_damping_sweep,
                               run_experiment, run_grad_stats,
@@ -73,6 +74,14 @@ class TestConfigValidation:
             ExperimentConfig(m=(3, -1))
         with pytest.raises(ConfigError, match="duplicate"):
             ExperimentConfig(kind="trotter-sweep", m=(1, 1))
+
+    def test_depth_is_capped(self):
+        for kind in ("compile", "trotter-sweep"):
+            with pytest.raises(ConfigError, match="at most"):
+                ExperimentConfig(kind=kind, m=(MAX_DEPTH + 1,))
+            assert ExperimentConfig(kind=kind, m=(MAX_DEPTH,)).m == (MAX_DEPTH,)
+        with pytest.raises(ConfigError, match="at most"):
+            ExperimentConfig(kind="trotter-sweep", m=(2, MAX_DEPTH + 1))
 
     def test_bad_noise_settings(self):
         with pytest.raises(ConfigError):
@@ -470,6 +479,27 @@ def test_run_trotter_sweep_expands_single_depth(tmp_path):
     assert [r[0] for r in rows] == ["1", "2"]
 
 
+@pytest.mark.parametrize("results, files", [
+    ({"best_cost": float("nan")}, {}),
+    ({"per_m": {"1": [1.0, float("-inf")]}}, {}),
+    ({}, {"a.csv": "m,mean\n1,0.5\n2,nan\n"}),
+    ({}, {"a.csv": "kind,delta\ncharge,-inf\n"}),
+    ({}, {"params.txt": "X1 0 inf\n"}),
+])
+def test_write_run_refuses_non_finite_values(tmp_path, results, files):
+    cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        _write_run(cfg, None, results, files)
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_run_keeps_labels_that_hold_an_n(tmp_path):
+    cfg = ExperimentConfig(output_dir=str(tmp_path))
+    files = {"a.csv": "noise_kind,mode,delta\nnuclear,uniform-sample,0.05\n"}
+    record = _write_run(cfg, None, {"kind": "nuclear"}, files)
+    assert record.csv_files == ["a.csv"]
+
+
 def test_run_trotter_sweep_explicit_depth_list(tmp_path):
     cfg = ExperimentConfig(
         kind="trotter-sweep", m=(1, 3), output_dir=str(tmp_path),
@@ -554,6 +584,27 @@ def test_run_damping_sweep_names_the_failing_retraining(tmp_path, monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"damping p=0\.01 \(grid point 0\): restart 1: the cost is not finite"):
         run_damping_sweep(cfg)
+
+
+def test_run_damping_sweep_names_a_non_finite_gradient(tmp_path, monkeypatch):
+    # a cost goal of 1 ends each simplex phase at once; the polish then asks
+    # for its first gradient
+    cfg = ExperimentConfig(
+        kind="damping-sweep", m=(1,), output_dir=str(tmp_path),
+        optimizer=tiny_optimizer(cost_tolerance=1.0),
+        damping_grid=(0.0, 0.02), damping_restarts=2)
+    density_gradient = CostEvaluator._density_gradient
+
+    def nan_at_second_point(self, theta):
+        if self.plan.channel.name == "amplitude-damping(p=0.02)":
+            return np.full(theta.shape, np.nan)
+        return density_gradient(self, theta)
+
+    monkeypatch.setattr(CostEvaluator, "_density_gradient", nan_at_second_point)
+    message = r"damping p=0\.02 \(grid point 1\): restart 0: the grad is not finite"
+    with pytest.raises(NumericalFailure, match=message):
+        run_damping_sweep(cfg)
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 def test_run_grad_stats_outputs(tmp_path):

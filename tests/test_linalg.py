@@ -3,11 +3,21 @@ import pytest
 
 from spingate.errors import DimMismatch, NotHermitian
 from spingate.linalg import (apply_to_qubits, dagger, hermitian_expm,
-                             hs_overlap, is_unitary, kron, random_hermitian,
-                             random_unitary)
+                             hs_overlap, is_unitary, kron)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random dense Hermitian matrix of size n with O(1) entries."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + dagger(a)) / 2.0
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary: exponential of a random Hermitian generator."""
+    return hermitian_expm(random_hermitian(n, rng), 1.0)
 
 
 def test_kron_first_factor_most_significant():

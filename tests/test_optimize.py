@@ -7,9 +7,11 @@ from spingate.ansatz import build_hva
 from spingate.cost import CostEvaluator
 from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec
+from spingate.harness import ExperimentConfig, _damping_inits
 from spingate.optimize import (InitScheme, OptimizationTrace, OptimizerConfig,
                                RestartSummary, lbfgs_minimize, multi_restart,
-                               nelder_mead_minimize, run_single_restart)
+                               nelder_mead_minimize, retrain, run_single_restart)
+from spingate.simulator import NoisyCircuitPlan, amplitude_damping
 from spingate.targets import toffoli
 
 
@@ -424,3 +426,17 @@ def test_multi_restart_non_finite_cost_names_the_restart(small_evaluator):
     ev = _NanAfter(small_evaluator, calls=3)
     with pytest.raises(NumericalFailure, match="restart 2: the cost is not finite"):
         multi_restart(ev, InitScheme(seed=4), OptimizerConfig(restarts=3, max_iters=10))
+
+
+def test_retrain_ends_no_higher_than_nelder_mead_to_its_own_stop():
+    """Oracle: the short simplex phase plus polish reaches the full simplex run's floor."""
+    cfg = ExperimentConfig(kind="damping-sweep", m=(2,), damping_restarts=3)
+    noiseless = CostEvaluator(build_hva(heisenberg_spec(3), 2), toffoli())
+    theta_star = multi_restart(noiseless, cfg.init, cfg.optimizer).best.final_theta
+    plan = NoisyCircuitPlan(noiseless.circuit, amplitude_damping(0.01))
+    density = CostEvaluator(noiseless.circuit, toffoli(), mode="hs-test-density", plan=plan)
+    starts = _damping_inits(cfg, theta_star, 2, 15)
+    simplex_cfg = OptimizerConfig(algorithm="nelder-mead")
+    for start, trace in zip(starts, retrain(density, starts, OptimizerConfig()), strict=True):
+        floor = nelder_mead_minimize(density.cost, start, simplex_cfg).final_cost
+        assert trace.final_cost <= floor + 1e-6
