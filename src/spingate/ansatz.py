@@ -90,38 +90,51 @@ def _ordered_product(factors) -> np.ndarray:
     return u
 
 
-def _shared_columns(rows: np.ndarray) -> int:
-    """How many leading columns of a (B, Q) stack hold row 0's bits in every row."""
+def _varying_columns(rows: np.ndarray) -> np.ndarray:
+    """Indices of the columns of a (B, Q) stack where some row differs from row 0 in its bits.
+
+    An empty stack varies in every column.
+    """
     if len(rows) == 0:
-        return 0
+        return np.arange(rows.shape[1])
     bits = np.ascontiguousarray(rows).view(np.uint64)
-    differs = (bits != bits[0]).any(axis=0)
-    return int(differs.argmax()) if differs.any() else rows.shape[1]
+    return np.flatnonzero((bits != bits[0]).any(axis=0))
 
 
 def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Ordered product of one layer's factors (term 1 applied first).
 
-    theta of shape (..., Q) gives (..., 2^n, 2^n).  For a stack, the k
-    leading columns that every row shares bit for bit (a noise realization
-    shifts only some trailing terms) give factors and a partial product
-    that are built once, from row 0 as a single vector; each row then
-    continues from that product with its own factors k..Q-1.  With k = 0
-    every row builds all its factors.  Stacked products run the same
-    per-matrix multiplication as a single vector's, so each slice equals
-    the unstacked result bit for bit.
+    theta of shape (..., Q) gives (..., 2^n, 2^n).  A stack whose rows
+    share some columns bit for bit (a noise realization shifts only some
+    terms: charge noise the couplings 10-15, nuclear noise terms 3, 6 and
+    9) builds row 0's factors once, as single d x d matrices, and per-row
+    factors only for the columns that vary.  The shared columns before the
+    first varying one become one partial product; each row then
+    multiplies its factors in the same order as a single vector's product,
+    a shared d x d factor acting on every slice alike.  A stack with no
+    shared column builds one (B, Q, d, d) factor block.  A (d, d) @
+    (B, d, d) product runs the same per-matrix multiplication as a stacked
+    or an unstacked one, so each slice equals the unstacked result bit for
+    bit.
     """
     theta = _check_theta(circuit, theta)
     if theta.ndim == 1:
         return _ordered_product(gate_matrices(circuit, theta))
     rows = theta.reshape(-1, circuit.q)
-    k = _shared_columns(rows)
     paulis = circuit.spec.matrices()
-    factors = list(np.moveaxis(_factors(circuit, rows[:, k:], paulis[k:]), 1, 0))
-    if k:
-        factors.insert(0, _ordered_product(_factors(circuit, rows[0, :k], paulis[:k])))
+    varying = _varying_columns(rows)
+    if len(varying) == circuit.q:
+        factors = list(np.moveaxis(_factors(circuit, rows, paulis), 1, 0))
+    else:
+        factors = list(_factors(circuit, rows[0], paulis))
+        own = _factors(circuit, rows[:, varying], paulis[varying])
+        for i, j in enumerate(varying):
+            factors[j] = own[:, i]
+        k = varying[0] if len(varying) else circuit.q
+        if k > 1:
+            factors[:k] = [_ordered_product(factors[:k])]
     u = _ordered_product(factors)
-    if k == circuit.q:  # every row is row 0
+    if u.ndim == 2:  # every row is row 0
         u = np.tile(u, (len(rows), 1, 1))
     return u.reshape(theta.shape[:-1] + u.shape[-2:])
 

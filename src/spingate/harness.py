@@ -27,6 +27,7 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -298,6 +299,22 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+
+
+def _check_output_dir(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the output directory is, or can become, a writable directory.
+
+    Nothing is created: the path's nearest existing ancestor, itself
+    included, must be a directory that the run may write into.
+    """
+    path = Path(cfg.output_dir)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"output directory {cfg.output_dir!r} cannot be made: "
+                          f"{str(found)!r} is not a directory")
+    if not os.access(found, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {cfg.output_dir!r} cannot be made: "
+                          f"{str(found)!r} is not writable")
 
 
 def _fresh_run_dir(cfg: ExperimentConfig) -> Path:
@@ -606,4 +623,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
+    """Run `cfg`; without a given run_dir the output directory is checked before any compute."""
+    if run_dir is None:
+        _check_output_dir(cfg)
     return _RUNNERS[cfg.kind](cfg, run_dir=run_dir)

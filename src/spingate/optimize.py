@@ -65,6 +65,12 @@ DEFAULT_MAX_ITERS = {"lbfgs": 200, "nelder-mead": 2000}
 # paper's runs use at most a few hundred; a larger count is a typo, and
 # building it could exhaust memory before anything is computed.
 MAX_COUNT = 100_000
+# most iterations one optimizer run may take, and most curvature pairs an
+# L-BFGS history may keep: ten times the largest default (2000).  Every
+# iteration appends a parameter copy to its trace, so a run that never
+# meets its goals grows until its budget is spent; a history longer than
+# the iteration budget could never fill.
+MAX_ITERS = 20_000
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,10 @@ class OptimizerConfig:
             raise ConfigError(f"restarts must be at most {MAX_COUNT}, got {self.restarts!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        for name in ("max_iters", "history_size"):
+            if (getattr(self, name) or 0) > MAX_ITERS:
+                raise ConfigError(f"{name} must be at most {MAX_ITERS}, "
+                                  f"got {getattr(self, name)!r}")
         for name in ("cost_tolerance", "gradient_tolerance", "spread_tolerance"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, "

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spingate.ansatz import (apply_circuit, build_hva, circuit_unitary,
+from spingate.ansatz import (_varying_columns, apply_circuit, build_hva, circuit_unitary,
                              gate_matrices, layer_unitary)
 from spingate.errors import DimMismatch, InvalidDepth, LengthMismatch
 from spingate.linalg import hermitian_expm, is_unitary, kron
@@ -122,15 +124,29 @@ def test_stacked_parameters_broadcast(spec3, rng):
             assert np.array_equal(us[i, j], circuit_unitary(c, stack[i, j]))
 
 
-def test_layer_unitary_with_shared_leading_columns(spec3, rng):
-    # rows that share their first k columns continue from one partial
-    # product built from row 0; every slice still equals its single-vector
-    # result bit for bit, k = 15 included (all rows equal)
+# columns every row of a noise stack shares: charge noise shifts the six
+# couplings (terms 10-15), nuclear noise the Z fields (terms 3, 6 and 9)
+CHARGE_SHARED = [j < 9 for j in range(15)]
+NUCLEAR_SHARED = [j not in (2, 5, 8) for j in range(15)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared=st.lists(st.booleans(), min_size=15, max_size=15),
+       rows=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(shared=[False] * 15, rows=4, seed=1)
+@example(shared=[True] * 15, rows=4, seed=2)
+@example(shared=CHARGE_SHARED, rows=4, seed=3)
+@example(shared=NUCLEAR_SHARED, rows=4, seed=4)
+def test_layer_unitary_with_shared_columns(spec3, shared, rows, seed):
+    # the columns in `shared` hold row 0's bits in every row and get one
+    # factor built from row 0; every slice still equals its single-vector
+    # result bit for bit, with all columns shared (all rows equal) included
     c = build_hva(spec3, 2)
-    base = rng.uniform(-4.0, 4.0, size=15)
-    for k in (0, 1, 9, 14, 15):
-        stack = np.tile(base, (4, 1))
-        stack[1:, k:] += rng.uniform(0.1, 1.0, size=(3, 15 - k))
-        for row, lu in zip(stack, layer_unitary(c, stack)):
-            assert lu.tobytes() == layer_unitary(c, row).tobytes()
+    stack = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(rows, 15))
+    stack[:, shared] = stack[0, shared]
+    varies = ~np.array(shared) & (rows > 1)
+    assert np.array_equal(_varying_columns(stack), np.flatnonzero(varies))
+    for row, lu in zip(stack, layer_unitary(c, stack)):
+        assert lu.tobytes() == layer_unitary(c, row).tobytes()
     assert layer_unitary(c, np.zeros((0, 15))).shape == (0, 8, 8)

@@ -12,7 +12,7 @@ from spingate import cli, harness
 from spingate.cli import main
 from spingate.errors import NumericalFailure
 from spingate.harness import _SCHEMA, MAX_DEPTH
-from spingate.optimize import MAX_COUNT
+from spingate.optimize import MAX_COUNT, MAX_ITERS
 
 
 def find_record(out_dir):
@@ -309,6 +309,36 @@ def test_depth_over_the_cap_exits_2_before_compiling(tmp_path, capsys, monkeypat
     assert main([command, "--m", str(MAX_DEPTH + 1), "--out", str(out)]) == 2
     assert f"depths must be at most {MAX_DEPTH}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["max_iters", "history_size"])
+def test_iteration_budget_over_the_cap_exits_2_before_compiling(tmp_path, capsys,
+                                                                 monkeypatch, key):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a compile ran")
+
+    monkeypatch.setattr(harness, "multi_restart", no_compile)
+    ini = write_tiny_ini(tmp_path / "exp.ini")
+    ini.write_text(ini.read_text().replace("max_iters = 6\n", f"{key} = {MAX_ITERS + 1}\n"))
+    out = tmp_path / "out"
+    assert main(["compile", "--config", str(ini), "--out", str(out)]) == 2
+    assert f"{key} must be at most {MAX_ITERS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_output_path_under_a_file_exits_2_before_compiling(tmp_path, capsys, monkeypatch,
+                                                           sub):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a compile ran")
+
+    monkeypatch.setattr(harness, "multi_restart", no_compile)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / sub if sub else blocker
+    assert main(["compile", "--m", "6", "--restarts", "10", "--out", str(out)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("grid", ["0.1, 0.05", "-0.1, 0.0", "0, 0.05, 0.05"])

@@ -246,25 +246,37 @@ def _stack_evaluator(target_name, m):
     return CostEvaluator(build_hva(heisenberg_spec(3), m), target)
 
 
+# columns every row of a noise stack shares: charge noise shifts terms
+# 10-15, nuclear noise terms 3, 6 and 9
+CHARGE_SHARED = [j < 9 for j in range(15)]
+NUCLEAR_SHARED = [j not in (2, 5, 8) for j in range(15)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(target_name=st.sampled_from(["toffoli", "fredkin"]),
        m=st.sampled_from([1, 5, 6, 12]),
-       rows=st.integers(min_value=1, max_value=40),
+       rows=st.integers(min_value=1, max_value=80),
        scale=st.sampled_from([1.0, np.pi, 30.0]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
-       shared=st.integers(min_value=0, max_value=15))
-@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1, shared=0)
-@example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2, shared=0)
+       shared=st.lists(st.booleans(), min_size=15, max_size=15))
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1,
+         shared=[False] * 15)
+@example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2,
+         shared=[False] * 15)
 @example(target_name="fredkin", m=5, rows=2 * COST_CHUNK_ROWS + 3, scale=np.pi, seed=1,
-         shared=9)
-@example(target_name="toffoli", m=12, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2, shared=15)
+         shared=CHARGE_SHARED)
+@example(target_name="fredkin", m=5, rows=2 * COST_CHUNK_ROWS + 3, scale=np.pi, seed=3,
+         shared=NUCLEAR_SHARED)
+@example(target_name="toffoli", m=12, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2,
+         shared=[True] * 15)
 def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, seed, shared):
-    # rows up to 40 cross the chunk edges; |angles| up to 30 exercise
-    # wrapping; every row holds row 0's first `shared` coordinates, as a
-    # noise stack does before its first shifted term (15: all rows equal)
+    # rows up to 80 cross the chunk edges; |angles| up to 30 exercise
+    # wrapping; every row holds row 0's coordinates in the `shared`
+    # columns, as a noise stack does in the terms it does not shift (all
+    # 15: all rows equal)
     ev = _stack_evaluator(target_name, m)
     stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
-    stack[:, :shared] = stack[0, :shared]
+    stack[:, shared] = stack[0, shared]
     single = np.array([ev.cost(row) for row in stack])
     assert ev.costs(stack).tobytes() == single.tobytes()
 

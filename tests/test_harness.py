@@ -500,6 +500,53 @@ def test_write_run_keeps_labels_that_hold_an_n(tmp_path):
     assert record.csv_files == ["a.csv"]
 
 
+def _reject_constant(name):
+    raise AssertionError(f"run_record.json holds {name}")
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@settings(max_examples=12, deadline=None)
+@given(target=st.sampled_from(["toffoli", "fredkin"]),
+       m=st.integers(1, 2),
+       restarts=st.integers(1, 2),
+       max_iters=st.integers(1, 5),
+       samples=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       noise_mode=st.sampled_from(NOISE_MODES),
+       delta=st.sampled_from([0.05, 0.5, 3.0]),
+       p=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+       placement=st.sampled_from(PLACEMENTS),
+       warm_start=st.booleans())
+def test_small_runs_write_no_non_finite_value(kind, target, m, restarts, max_iters, samples,
+                                              seed, noise_mode, delta, p, placement,
+                                              warm_start):
+    # every kind, at the smallest budgets, where a mean or spread may rest on
+    # one value; only trotter_sweep.csv may leave a cell empty (no restart
+    # converged at a depth)
+    cfg = ExperimentConfig(
+        kind=kind, target=target, m=(m,), master_seed=seed,
+        optimizer=OptimizerConfig(max_iters=max_iters, restarts=restarts),
+        noise_mode=noise_mode, noise_samples=samples, noise_grid=(0.0, delta),
+        damping_grid=(p,), damping_placement=placement, damping_restarts=restarts,
+        warm_start=warm_start, grad_samples=samples)
+    with tempfile.TemporaryDirectory() as out:
+        record = run_experiment(dataclasses.replace(cfg, output_dir=out))
+        run_dir = Path(record.run_dir)
+        for name in record.csv_files:
+            for line in (run_dir / name).read_text().splitlines()[1:]:
+                for cell in re.split(r"[,\s]+", line):
+                    if cell == "" and name == "trotter_sweep.csv":
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        assert cell, f"{name} has an empty cell in {line!r}"
+                        continue  # a label
+                    assert np.isfinite(value), f"{name} holds {cell!r}"
+        json.loads((run_dir / "run_record.json").read_text(),
+                   parse_constant=_reject_constant)
+
+
 def test_run_trotter_sweep_explicit_depth_list(tmp_path):
     cfg = ExperimentConfig(
         kind="trotter-sweep", m=(1, 3), output_dir=str(tmp_path),

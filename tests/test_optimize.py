@@ -8,7 +8,7 @@ from spingate.cost import CostEvaluator
 from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec
 from spingate.harness import ExperimentConfig, _damping_inits
-from spingate.optimize import (InitScheme, OptimizationTrace, OptimizerConfig,
+from spingate.optimize import (MAX_ITERS, InitScheme, OptimizationTrace, OptimizerConfig,
                                RestartSummary, lbfgs_minimize, multi_restart,
                                nelder_mead_minimize, retrain, run_single_restart)
 from spingate.simulator import NoisyCircuitPlan, amplitude_damping
@@ -198,6 +198,13 @@ def test_optimizer_config_validation():
     assert OptimizerConfig().resolved_max_iters == 200
     assert OptimizerConfig(algorithm="nelder-mead").resolved_max_iters == 2000
     assert OptimizerConfig(max_iters=17).resolved_max_iters == 17
+
+
+def test_iteration_budget_is_capped():
+    for key in ("max_iters", "history_size"):
+        with pytest.raises(ConfigError, match=f"{key} must be at most {MAX_ITERS}"):
+            OptimizerConfig(**{key: MAX_ITERS + 1})
+        assert getattr(OptimizerConfig(**{key: MAX_ITERS}), key) == MAX_ITERS
 
 
 def test_init_scheme_rejects_inverted_clip():
