@@ -57,9 +57,9 @@ MODES = ("exact-trace", "hs-test-statevector", "hs-test-density")
 
 CENTRAL_DIFF_STEP = 1e-6
 # rows per stacked exact-trace evaluation: bounds the (rows, Q, d, d)
-# factor stacks that `costs` and `gradients` hold at once.  Measured on
-# 300-row noise stacks and 100-row gradient stacks: 32 beat 16 and 64.
-COST_CHUNK_ROWS = 32
+# factor stacks that `costs` and `gradients` hold at once.  32 rows ran
+# no faster on the sampled noise sweep and raised its peak memory.
+COST_CHUNK_ROWS = 16
 
 
 @dataclass

@@ -255,7 +255,7 @@ NUCLEAR_SHARED = [j not in (2, 5, 8) for j in range(15)]
 @settings(max_examples=120, deadline=None)
 @given(target_name=st.sampled_from(["toffoli", "fredkin"]),
        m=st.sampled_from([1, 5, 6, 12]),
-       rows=st.integers(min_value=1, max_value=80),
+       rows=st.integers(min_value=1, max_value=40),
        scale=st.sampled_from([1.0, np.pi, 30.0]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        shared=st.lists(st.booleans(), min_size=15, max_size=15))
@@ -270,7 +270,7 @@ NUCLEAR_SHARED = [j not in (2, 5, 8) for j in range(15)]
 @example(target_name="toffoli", m=12, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2,
          shared=[True] * 15)
 def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, seed, shared):
-    # rows up to 80 cross the chunk edges; |angles| up to 30 exercise
+    # rows up to 40 cross the chunk edges; |angles| up to 30 exercise
     # wrapping; every row holds row 0's coordinates in the `shared`
     # columns, as a noise stack does in the terms it does not shift (all
     # 15: all rows equal)
