@@ -299,12 +299,17 @@ def test_trotter_sweep_with_no_converged_restart_writes_empty_cells(tmp_path):
         assert row[header.index("std_fidelity_converged")] == ""
 
 
-@pytest.mark.parametrize("command", ["compile", "trotter-sweep"])
-def test_depth_over_the_cap_exits_2_before_compiling(tmp_path, capsys, monkeypatch, command):
-    def no_compile(*args, **kwargs):
+@pytest.fixture()
+def no_compile(monkeypatch):
+    """Fail the test if any compile starts."""
+    def refuse(*args, **kwargs):
         raise AssertionError("a compile ran")
 
-    monkeypatch.setattr(harness, "multi_restart", no_compile)
+    monkeypatch.setattr(harness, "multi_restart", refuse)
+
+
+@pytest.mark.parametrize("command", ["compile", "trotter-sweep"])
+def test_depth_over_the_cap_exits_2_before_compiling(tmp_path, capsys, no_compile, command):
     out = tmp_path / "out"
     assert main([command, "--m", str(MAX_DEPTH + 1), "--out", str(out)]) == 2
     assert f"depths must be at most {MAX_DEPTH}" in capsys.readouterr().err
@@ -312,12 +317,8 @@ def test_depth_over_the_cap_exits_2_before_compiling(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("key", ["max_iters", "history_size"])
-def test_iteration_budget_over_the_cap_exits_2_before_compiling(tmp_path, capsys,
-                                                                 monkeypatch, key):
-    def no_compile(*args, **kwargs):
-        raise AssertionError("a compile ran")
-
-    monkeypatch.setattr(harness, "multi_restart", no_compile)
+def test_iteration_budget_over_the_cap_exits_2_before_compiling(tmp_path, capsys, no_compile,
+                                                                 key):
     ini = write_tiny_ini(tmp_path / "exp.ini")
     ini.write_text(ini.read_text().replace("max_iters = 6\n", f"{key} = {MAX_ITERS + 1}\n"))
     out = tmp_path / "out"
@@ -327,12 +328,7 @@ def test_iteration_budget_over_the_cap_exits_2_before_compiling(tmp_path, capsys
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
-def test_output_path_under_a_file_exits_2_before_compiling(tmp_path, capsys, monkeypatch,
-                                                           sub):
-    def no_compile(*args, **kwargs):
-        raise AssertionError("a compile ran")
-
-    monkeypatch.setattr(harness, "multi_restart", no_compile)
+def test_output_path_under_a_file_exits_2_before_compiling(tmp_path, capsys, no_compile, sub):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     out = blocker / sub if sub else blocker
