@@ -17,7 +17,6 @@ theta relies on.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +56,44 @@ def _check_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-@functools.lru_cache(maxsize=None)
-def _identity(d: int) -> np.ndarray:
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
+def _factor_table(spec: HamiltonianSpec, terms: tuple[int, ...] | None):
+    """Where the factors of `terms` (all when None) take their floats from.
+
+    Factor i, viewed as 2 d^2 interleaved floats, holds cos(a_i) at each
+    diagonal real part and -i sin(a_i) P_i at each nonzero of P_i: the
+    phase times -i is +-1 or +-i, so that entry is +-sin(a_i) on its real
+    or its imaginary float.  Returns flat float positions in a (k, d, d)
+    block and, for each, its source in the concatenation [cos, sin, -sin].
+    """
+    perm, phase = spec.nonzeros()
+    if terms is not None:
+        perm, phase = perm[list(terms)], phase[list(terms)]
+    k, d = perm.shape
+    block, row = (np.arange(k) * 2 * d * d)[:, None], np.arange(d)
+    weight = -1j * phase
+    on_imag = weight.imag != 0
+    positive = np.where(on_imag, weight.imag, weight.real) > 0
+    term = np.broadcast_to(np.arange(k)[:, None], (k, d))
+    positions = np.concatenate([block + 2 * (row * d + row), block + 2 * (row * d + perm) + on_imag])
+    sources = np.concatenate([term, np.where(positive, k + term, 2 * k + term)])
+    return positions.ravel(), sources.ravel()
 
 
-def _factors(circuit: AnsatzCircuit, angles: np.ndarray, paulis: np.ndarray) -> np.ndarray:
-    """cos(a) I - i sin(a) P for angles (..., k) and their k Pauli strings."""
-    eye = _identity(2 ** circuit.n)
-    return (np.cos(angles)[..., None, None] * eye
-            - 1j * np.sin(angles)[..., None, None] * paulis)
+def _factors(spec: HamiltonianSpec, angles: np.ndarray,
+             terms: tuple[int, ...] | None = None) -> np.ndarray:
+    """cos(a) I - i sin(a) P for angles (..., k) and the k terms they drive (all when None).
+
+    Each value is written straight to its float (see `_factor_table`);
+    every other entry is zero.
+    """
+    positions, sources = spec.cached(("factors", terms), lambda: _factor_table(spec, terms))
+    d = 2 ** spec.n
+    sin = np.sin(angles)
+    values = np.concatenate([np.cos(angles), sin, -sin], axis=-1)
+    out = np.zeros(angles.shape + (d, d), dtype=complex)
+    floats = out.view(float).reshape(angles.shape[:-1] + (angles.shape[-1] * 2 * d * d,))
+    floats[..., positions] = values[..., sources]
+    return out
 
 
 def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
@@ -79,7 +104,7 @@ def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     squares to the identity, so the factor is cos(theta_j) I - i sin(theta_j) P.
     """
     theta = _check_theta(circuit, theta)
-    return _factors(circuit, theta, circuit.spec.matrices())
+    return _factors(circuit.spec, theta)
 
 
 def _ordered_product(factors) -> np.ndarray:
@@ -121,13 +146,12 @@ def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     if theta.ndim == 1:
         return _ordered_product(gate_matrices(circuit, theta))
     rows = theta.reshape(-1, circuit.q)
-    paulis = circuit.spec.matrices()
     varying = _varying_columns(rows)
     if len(varying) == circuit.q:
-        factors = list(np.moveaxis(_factors(circuit, rows, paulis), 1, 0))
+        factors = list(np.moveaxis(_factors(circuit.spec, rows), 1, 0))
     else:
-        factors = list(_factors(circuit, rows[0], paulis))
-        own = _factors(circuit, rows[:, varying], paulis[varying])
+        factors = list(_factors(circuit.spec, rows[0]))
+        own = _factors(circuit.spec, rows[:, varying], tuple(varying.tolist()))
         for i, j in enumerate(varying):
             factors[j] = own[:, i]
         k = varying[0] if len(varying) else circuit.q

@@ -27,7 +27,10 @@ equals the single-vector cost bit for bit.
 
 Every mode has two gradients: a central finite difference (2Q cost calls)
 and an adjoint-style sweep that uses the shared layer: one pass over the
-layer's factors plus O(m) products for the depth.  The noiseless modes
+layer's factors plus O(m) products for the depth.  The sweep's traces
+Tr(P_j F_j B_j) sum over each Pauli string's nonzeros only, one per row
+(`HamiltonianSpec.nonzeros`), which adds the same terms in the same
+order as the sum over every entry.  The noiseless modes
 feed the sweep the environment of V^dag; the density mode reduces the
 real environment of its superoperators through the Kraus stack to a
 complex 8x8 environment of the layer and feeds the sweep that.
@@ -357,13 +360,19 @@ def _layer_sweep(circuit: AnsatzCircuit, gs: np.ndarray, fwd: np.ndarray,
     inserts -i P_j after G_j and d Tr(M L)/dtheta_j = -i Tr(P_j F_j B_j)
     with the prefix F_j = fwd[j] and the suffix B_j = M G_(Q-1) ... G_(j+1).
     This costs O(Q) matrix products instead of O(Q^2).  Every product is
-    the same per-matrix multiplication for each row of the stack.
+    the same per-matrix multiplication for each row of the stack.  Row a
+    of P_j has one nonzero, phase[j, a] in column perm[j, a], so the trace
+    sums phase[j, a] F_j[perm[j, a], c] B_j[c, a] over a and c alone: the
+    same nonzero terms, added in the same order, as the sum over every
+    entry of P_j.
     """
     back = np.empty_like(gs)
     back[-1] = env
     for j in range(len(gs) - 2, -1, -1):
         back[j] = back[j + 1] @ gs[j + 1]
-    return -1j * np.einsum("jab,jrbc,jrca->rj", circuit.spec.matrices(), fwd, back)
+    perm, phase = circuit.spec.nonzeros()
+    rows = fwd[np.arange(len(gs))[:, None], :, perm]  # (Q, d, B, d): row perm[j, a] of F_j
+    return -1j * np.einsum("ja,jarc,jrca->rj", phase, rows, back)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class HamiltonianSpec:
 
     n: int
     terms: tuple[PauliString, ...]
-    _matrices: tuple = field(default=None, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -84,13 +84,27 @@ class HamiltonianSpec:
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.terms)
 
+    def cached(self, key, build):
+        """build(), a read-only array or tuple of them, computed once per spec and key."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                a.setflags(write=False)
+            self._cache[key] = value
+        return value
+
     def matrices(self) -> np.ndarray:
         """Stack of the term matrices, shape (Q, 2^n, 2^n).  Cached."""
-        if self._matrices is None:
-            stack = np.stack([t.matrix() for t in self.terms])
-            stack.setflags(write=False)
-            object.__setattr__(self, "_matrices", stack)
-        return self._matrices
+        return self.cached("matrices", lambda: np.stack([t.matrix() for t in self.terms]))
+
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, phase), each (Q, 2^n): row a of P_j holds its one nonzero in column
+        perm[j, a], and that entry is phase[j, a] (+-1 or +-i).  Cached."""
+        def build():
+            perm = np.argmax(self.matrices() != 0, axis=-1)
+            return perm, np.take_along_axis(self.matrices(), perm[..., None], -1)[..., 0]
+        return self.cached("nonzeros", build)
 
     def local_indices(self, axis: str | None = None) -> list[int]:
         """Indices of weight-1 terms, optionally restricted to one Pauli axis."""

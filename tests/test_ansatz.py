@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spingate.ansatz import (_varying_columns, apply_circuit, build_hva, circuit_unitary,
-                             gate_matrices, layer_unitary)
+from spingate.ansatz import (_factors, _varying_columns, apply_circuit, build_hva,
+                             circuit_unitary, gate_matrices, layer_unitary)
 from spingate.errors import DimMismatch, InvalidDepth, LengthMismatch
+from spingate.hamiltonian import heisenberg_spec
 from spingate.linalg import hermitian_expm, is_unitary, kron
 
 
@@ -36,6 +37,29 @@ def test_gate_matrices_match_exponential_oracle(spec3, rng):
         for j in range(15):
             expect = hermitian_expm(paulis[j], theta[j])
             assert np.max(np.abs(gs[j] - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gate_factors_equal_cos_identity_minus_i_sin_pauli_exactly(n):
+    """The scattered factors hold the broadcast formula's values (zeros may differ in sign)."""
+    spec = heisenberg_spec(n)
+    paulis, eye = spec.matrices(), np.eye(2 ** n)
+    rng = np.random.default_rng(n)
+
+    def formula(angles, terms):
+        return (np.cos(angles)[..., None, None] * eye
+                - 1j * np.sin(angles)[..., None, None] * paulis[list(terms)])
+
+    c = build_hva(spec, 1)
+    every = tuple(range(spec.q))
+    vector = rng.uniform(-np.pi, np.pi, spec.q)
+    stack = rng.uniform(-4.0, 4.0, size=(3, 2, spec.q))
+    assert np.array_equal(gate_matrices(c, vector), formula(vector, every))
+    assert np.array_equal(gate_matrices(c, stack), formula(stack, every))
+    terms = (2, 5, spec.q - 1)
+    subset = stack[..., list(terms)]
+    assert np.array_equal(_factors(spec, subset, terms), formula(subset, terms))
+    assert _factors(spec, stack[..., :0], ()).shape == (3, 2, 0, 2 ** n, 2 ** n)
 
 
 def test_layer_unitary_ordered_product(spec3, rng):

@@ -229,6 +229,8 @@ def test_bad_restarts_flag_exits_2(tmp_path, capsys, flags):
     "simplex_step = -0.1\n",
     "simplex_step = nan\n",
     "simplex_step = inf\n",
+    "simplex_step = 3.2\n",
+    "simplex_step = 1e308\n",
     "cost_tolerance = inf\n",
     "gradient_tolerance = inf\n",
     "spread_tolerance = nan\n",

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spingate.ansatz import build_hva, circuit_unitary, gate_matrices
-from spingate.cost import COST_CHUNK_ROWS, CostEvaluator
+from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_factors, _layer_sweep
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger
@@ -295,7 +295,8 @@ def test_stacked_gradients_equal_single_gradients_bitwise(target_name, m, rows, 
     stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
     single = np.array([ev.gradient(row) for row in stack])
     assert np.array_equal(ev.gradients(stack), single)
-    assert np.array_equal(single[0], _adjoint_gradient_one_vector(ev, stack[0]))
+    for row, grad in zip(stack, single, strict=True):
+        assert np.array_equal(grad, _adjoint_gradient_one_vector(ev, row))
 
 
 def _adjoint_gradient_one_vector(ev, theta):
@@ -316,6 +317,23 @@ def _adjoint_gradient_one_vector(ev, theta):
         back[j] = back[j + 1] @ gs[j + 1]
     dt = -1j * np.einsum("jab,jbc,jca->j", circuit.spec.matrices(), fwd, back)
     return -(2.0 / (d * d)) * (np.conj(t_val) * dt).real
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("rows", [1, 3, 17])
+def test_layer_sweep_over_nonzeros_equals_dense_einsum(n, rows):
+    """The sum over each Pauli string's nonzeros equals the sum over all its entries, bitwise."""
+    circuit = build_hva(heisenberg_spec(n), 3)
+    rng = np.random.default_rng(10 * n + rows)
+    gs, fwd = _layer_factors(circuit, rng.uniform(-np.pi, np.pi, size=(rows, circuit.q)))
+    d = 2 ** n
+    env = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+    back = np.empty_like(gs)
+    back[-1] = env
+    for j in range(circuit.q - 2, -1, -1):
+        back[j] = back[j + 1] @ gs[j + 1]
+    dense = -1j * np.einsum("jab,jrbc,jrca->rj", circuit.spec.matrices(), fwd, back)
+    assert _layer_sweep(circuit, gs, fwd, env).tobytes() == dense.tobytes()
 
 
 def test_costs_other_modes_follow_cost(spec3, rng):

@@ -62,6 +62,15 @@ def test_matrices_cached_and_readonly(spec3):
     assert a.shape == (15, 8, 8)
 
 
+def test_nonzeros_rebuild_every_term_matrix(spec3):
+    perm, phase = spec3.nonzeros()
+    rebuilt = np.zeros_like(spec3.matrices())
+    np.put_along_axis(rebuilt, perm[..., None], phase[..., None], axis=-1)
+    assert np.array_equal(rebuilt, spec3.matrices())
+    assert spec3.nonzeros()[0] is perm
+    assert not perm.flags.writeable and not phase.flags.writeable
+
+
 def test_assemble_hermitian_traceless(spec3, rng):
     for _ in range(20):
         theta = rng.normal(size=spec3.q)

@@ -1,15 +1,20 @@
 """Optimizer behaviour on textbook objectives plus restart plumbing."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spingate import optimize
 from spingate.ansatz import build_hva
 from spingate.cost import CostEvaluator
 from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec
 from spingate.harness import ExperimentConfig, _damping_inits
-from spingate.optimize import (MAX_ITERS, InitScheme, OptimizationTrace, OptimizerConfig,
-                               RestartSummary, lbfgs_minimize, multi_restart,
+from spingate.optimize import (MAX_ITERS, STACKED_DIRECTION_ROWS, InitScheme, OptimizationTrace,
+                               OptimizerConfig, RestartSummary, lbfgs_minimize, multi_restart,
                                nelder_mead_minimize, retrain, run_single_restart)
 from spingate.simulator import NoisyCircuitPlan, amplitude_damping
 from spingate.targets import toffoli
@@ -159,6 +164,32 @@ def test_lbfgs_stall_escapes_stay_within_max_iters():
     assert fun(tr.final_theta) == tr.final_cost
 
 
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(STACKED_DIRECTION_ROWS, 20),
+       q=st.sampled_from([9, 15, 21]),
+       history_size=st.integers(1, 12),
+       lengths=st.lists(st.integers(0, 12), min_size=20, max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=STACKED_DIRECTION_ROWS, q=15, history_size=10, lengths=[0] * 20, seed=0)
+@example(rows=10, q=15, history_size=10, lengths=[10] * 20, seed=1)
+def test_stacked_directions_equal_two_loop_bitwise(rows, q, history_size, lengths, seed):
+    """One recursion over the padded stacks gives each row's own two-loop direction."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for length in lengths[:rows]:
+        hist = deque(maxlen=history_size)
+        for _ in range(min(length, history_size)):
+            s = rng.normal(size=q) * (rng.random(q) < 0.9)  # some exact zeros
+            y = s * rng.uniform(0.5, 2.0, q) + 0.1 * rng.normal(size=q)
+            hist.append((s, y, 1.0 / np.dot(s, y)))
+        g = rng.normal(size=q) * (rng.random(q) < 0.8)
+        g[rng.random(q) < 0.1] = -0.0
+        requests.append((g, hist))
+    stacked = optimize._directions(requests)
+    for (g, hist), d in zip(requests, stacked, strict=True):
+        assert np.asarray(d).tobytes() == optimize._two_loop(g, hist).tobytes()
+
+
 def test_nelder_mead_solves_quadratic():
     fun, _ = quadratic([0.2, -0.1])
     cfg = OptimizerConfig(algorithm="nelder-mead")
@@ -192,12 +223,14 @@ def test_optimizer_config_validation():
                 dict(cost_tolerance=-1e-4), dict(gradient_tolerance=-1.0),
                 dict(spread_tolerance=float("nan")), dict(simplex_step=0.0),
                 dict(simplex_step=-0.1), dict(simplex_step=float("nan")),
-                dict(simplex_step=float("inf"))):
+                dict(simplex_step=float("inf")), dict(simplex_step=3.2),
+                dict(simplex_step=1e308)):
         with pytest.raises(ConfigError):
             OptimizerConfig(**bad)
     assert OptimizerConfig().resolved_max_iters == 200
     assert OptimizerConfig(algorithm="nelder-mead").resolved_max_iters == 2000
     assert OptimizerConfig(max_iters=17).resolved_max_iters == 17
+    assert OptimizerConfig(simplex_step=np.pi).simplex_step == np.pi
 
 
 def test_iteration_budget_is_capped():
@@ -381,6 +414,24 @@ class _StackSizes(CostEvaluator):
         return super().cost(theta)
 
 
+def test_lockstep_stacked_directions_match_one_at_a_time(small_evaluator, monkeypatch):
+    """Rounds of STACKED_DIRECTION_ROWS or more directions take the stacked path, bit for bit."""
+    sizes = []
+    directions = optimize._directions
+
+    def spy(requests):
+        sizes.append(len(requests))
+        return directions(requests)
+
+    init = InitScheme(seed=13)
+    cfg = OptimizerConfig(restarts=STACKED_DIRECTION_ROWS + 3, max_iters=40)
+    serial = one_at_a_time(small_evaluator, init, cfg)
+    monkeypatch.setattr(optimize, "_directions", spy)
+    lockstep = multi_restart(small_evaluator, init, cfg)
+    assert max(sizes) == cfg.restarts
+    assert_same_traces(lockstep, serial)
+
+
 def test_lockstep_counts_the_same_evaluations_in_fewer_calls():
     init = InitScheme(seed=9)
     cfg = OptimizerConfig(restarts=5, max_iters=20)
@@ -433,6 +484,37 @@ def test_multi_restart_non_finite_cost_names_the_restart(small_evaluator):
     ev = _NanAfter(small_evaluator, calls=3)
     with pytest.raises(NumericalFailure, match="restart 2: the cost is not finite"):
         multi_restart(ev, InitScheme(seed=4), OptimizerConfig(restarts=3, max_iters=10))
+
+
+class _NanRows:
+    """An evaluator whose first `kind` call ("costs" or "gradients") returns NaN in `rows`."""
+
+    def __init__(self, evaluator, kind, rows):
+        self.inner, self.kind, self.rows, self.circuit = evaluator, kind, rows, evaluator.circuit
+
+    def _answer(self, kind, thetas):
+        out = getattr(self.inner, kind)(thetas)
+        if kind == self.kind and self.rows:
+            out[self.rows] = np.nan
+            self.rows = []
+        return out
+
+    def costs(self, thetas):
+        return self._answer("costs", thetas)
+
+    def gradients(self, thetas):
+        return self._answer("gradients", thetas)
+
+
+@pytest.mark.parametrize("kind, name", [("costs", "cost"), ("gradients", "grad")])
+@pytest.mark.parametrize("rows, named", [([1], 1), ([2, 1], 1), ([3], 3)])
+def test_lockstep_batch_check_names_the_first_bad_restart(small_evaluator, kind, name,
+                                                           rows, named):
+    # the first round asks every restart, in index order, for its cost
+    # and then its gradient
+    ev = _NanRows(small_evaluator, kind, rows)
+    with pytest.raises(NumericalFailure, match=f"restart {named}: the {name} is not finite"):
+        multi_restart(ev, InitScheme(seed=4), OptimizerConfig(restarts=4, max_iters=10))
 
 
 def test_retrain_ends_no_higher_than_nelder_mead_to_its_own_stop():
