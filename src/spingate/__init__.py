@@ -7,7 +7,7 @@ noise and amplitude damping.
 """
 
 from .ansatz import AnsatzCircuit, apply_circuit, build_hva, circuit_unitary
-from .cost import CostEvaluator, GradientStats
+from .cost import CostEvaluator
 from .errors import (ConfigError, DimMismatch, InvalidDepth, InvalidQubitCount,
                      LengthMismatch, NegativeAmplitude, NotHermitian, NotUnitary,
                      NumericalFailure, OutOfRange, SpingateError, UnknownGate)

@@ -15,15 +15,15 @@ is the Kraus sum sum_k (A_k u) (x) conj(A_k u) over the plan's register
 Kraus operators A_k.  Kraus maps preserve Hermiticity, so in a fixed real
 basis of Hermitian matrices each step is a real d^2 x d^2 matrix: step(L)^m
 after each layer, (step(G_(Q-1)) ... step(G_0))^m after each gate and
-step(L^m) for final-only.  The literal density evolution in the simulator
-module is its test oracle.
+step(L^m) for final-only: one product of unit steps, repeated.  The
+literal density evolution in the simulator module is its test oracle.
 
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
 A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
-`costs` evaluates a stack of vectors; in exact-trace mode it runs the same
-broadcasting kernel as `cost` over chunks of rows, and every row's cost
-equals the single-vector cost bit for bit.
+`costs` evaluates a stack of vectors; in exact-trace mode it runs a
+broadcasting kernel over chunks of rows, and `cost` is its one-row case,
+so every row's cost equals the single-vector cost bit for bit.
 
 Every mode has two gradients: a central finite difference (2Q cost calls)
 and an adjoint-style sweep that uses the shared layer: one pass over the
@@ -43,7 +43,7 @@ Neither counts towards eval_count, which counts cost evaluations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .ansatz import (AnsatzCircuit, circuit_unitary, gate_matrices,
 from .errors import DimMismatch, LengthMismatch, NumericalFailure
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
-from .seeding import derive_rng
 from .simulator import NoisyCircuitPlan, hs_test_probability
 from .targets import TargetGate
 
@@ -73,7 +72,7 @@ class CostEvaluator:
     target: TargetGate
     mode: str = "exact-trace"
     plan: NoisyCircuitPlan | None = None
-    eval_count: int = 0
+    eval_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -130,18 +129,16 @@ class CostEvaluator:
     def _density_cost(self, theta: np.ndarray) -> float:
         circuit, placement, kraus = self.circuit, self.plan.placement, self._kraus
         if placement == "final-only":
-            total = self._real_superop(kraus @ circuit_unitary(circuit, theta))
+            units, repeat = [circuit_unitary(circuit, theta)], 1
         elif placement == "after-each-layer":
-            step = self._real_superop(kraus @ layer_unitary(circuit, theta))
-            total = np.linalg.matrix_power(step, circuit.m)
+            units, repeat = [layer_unitary(circuit, theta)], circuit.m
         else:
-            # one gate at a time: a (Q, d^2, d^2) stack of steps ran 2.5x slower
-            gates = gate_matrices(circuit, theta)
-            step = self._real_superop(kraus @ gates[0])
-            for g in gates[1:]:
-                step = self._real_superop(kraus @ g) @ step
-            total = np.linalg.matrix_power(step, circuit.m)
-        p = np.vdot(self._readout, total)
+            units, repeat = gate_matrices(circuit, theta), circuit.m
+        # one unit at a time: a (Q, d^2, d^2) stack of gate steps ran 2.5x slower
+        step = self._real_superop(kraus @ units[0])
+        for u in units[1:]:
+            step = self._real_superop(kraus @ u) @ step
+        p = np.vdot(self._readout, np.linalg.matrix_power(step, repeat))
         return 1.0 - float(min(max(p, 0.0), 1.0))
 
     @property
@@ -163,8 +160,7 @@ class CostEvaluator:
         theta = self._check(theta)
         self.eval_count += 1
         if self.mode == "exact-trace":
-            u = circuit_unitary(self.circuit, theta)
-            return 1.0 - hs_overlap(u, self.target.matrix)
+            return float(self._exact_costs(theta[None])[0])
         if self.mode == "hs-test-statevector":
             return 1.0 - hs_test_probability(self.circuit, theta, self.target)
         return self._density_cost(theta)
@@ -180,11 +176,11 @@ class CostEvaluator:
         if self.mode != "exact-trace":
             return np.array([self.cost(row) for row in thetas], dtype=float)
         self.eval_count += len(thetas)
-        out = np.empty(len(thetas))
-        for start in range(0, len(thetas), COST_CHUNK_ROWS):
-            u = circuit_unitary(self.circuit, thetas[start:start + COST_CHUNK_ROWS])
-            out[start:start + COST_CHUNK_ROWS] = 1.0 - hs_overlap(u, self.target.matrix)
-        return out
+        return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)))
+
+    def _exact_costs(self, thetas: np.ndarray) -> np.ndarray:
+        """Exact-trace costs of a wrapped (B, Q) stack."""
+        return 1.0 - hs_overlap(circuit_unitary(self.circuit, thetas), self.target.matrix)
 
     def fidelity(self, theta: np.ndarray) -> float:
         return 1.0 - self.cost(theta)
@@ -206,11 +202,7 @@ class CostEvaluator:
         thetas = self._check(thetas, ndim=2)
         if self.noisy:
             return np.array([self._density_gradient(row) for row in thetas]).reshape(thetas.shape)
-        out = np.empty(thetas.shape)
-        for start in range(0, len(thetas), COST_CHUNK_ROWS):
-            out[start:start + COST_CHUNK_ROWS] = self._gradient_adjoint(
-                thetas[start:start + COST_CHUNK_ROWS])
-        return out
+        return _in_chunks(self._gradient_adjoint, thetas, np.empty(thetas.shape))
 
     def _gradient_central(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -300,25 +292,13 @@ class CostEvaluator:
             after = steps[j].T @ after
         return grad
 
-    def gradient_stats(self, samples: int, init, seed: int) -> "GradientStats":
-        """Variance of each gradient coordinate over init-scheme draws.
 
-        Draws `samples` parameter vectors from the init scheme with a
-        dedicated RNG seeded by `seed`, evaluates their adjoint gradients
-        in one stacked call, and reports per-coordinate mean and variance
-        plus the pooled variance over all coordinates.
-        """
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        rng = derive_rng(seed)
-        thetas = np.array([init.sample(rng, self.circuit.q) for _ in range(samples)])
-        grads = self.gradients(thetas)
-        return GradientStats(
-            samples=samples,
-            mean=grads.mean(axis=0),
-            variance=grads.var(axis=0),
-            overall_variance=float(grads.var()),
-        )
+def _in_chunks(kernel, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[r] with kernel's row r, COST_CHUNK_ROWS rows per kernel call."""
+    for start in range(0, len(thetas), COST_CHUNK_ROWS):
+        rows = slice(start, start + COST_CHUNK_ROWS)
+        out[rows] = kernel(thetas[rows])
+    return out
 
 
 def _layer_factors(circuit: AnsatzCircuit, thetas: np.ndarray):
@@ -373,13 +353,3 @@ def _layer_sweep(circuit: AnsatzCircuit, gs: np.ndarray, fwd: np.ndarray,
     perm, phase = circuit.spec.nonzeros()
     rows = fwd[np.arange(len(gs))[:, None], :, perm]  # (Q, d, B, d): row perm[j, a] of F_j
     return -1j * np.einsum("ja,jarc,jrca->rj", phase, rows, back)
-
-
-@dataclass(frozen=True)
-class GradientStats:
-    """Per-coordinate gradient statistics over random initializations."""
-
-    samples: int
-    mean: np.ndarray
-    variance: np.ndarray
-    overall_variance: float

@@ -64,6 +64,10 @@ GRID_STOP_TOLERANCE = 1e-9
 # deepest circuit a run may ask for: the paper's depths stop at 12, and
 # a depth such as 10**9 would hang a compile or a trotter sweep's range
 MAX_DEPTH = 100
+# most qubits a target may act on (the paper's act on 3): the density route
+# builds (2, d^2, d^2) int64 and complex tables, 16 and 32 MiB at 5 qubits,
+# 256 and 512 MiB at 6, 4 and 8 GiB at 7
+MAX_QUBITS = 5
 
 # Four independent stream labels keep the restart draws, the noise
 # realizations, the damping warm kicks, and the grad-stats inits from
@@ -355,14 +359,12 @@ def _non_finite_cell(text: str) -> str | None:
     return None
 
 
-def _write_run(cfg: ExperimentConfig, run_dir: Path | None, results: dict,
-               files: dict) -> RunRecord:
+def _write_run(cfg: ExperimentConfig, results: dict, files: dict) -> RunRecord:
     """Write `files` in order, then the run's RunRecord as run_record.json.
 
     `files` maps a file name to its text.  A non-finite float in `results`
     or in a cell of `files` raises NumericalFailure before anything is
-    written.  The run directory is allocated here, after the compute,
-    unless given.
+    written.  The run directory is allocated here, after the compute.
     """
     for name, content in files.items():
         bad = _non_finite_cell(content)
@@ -372,7 +374,7 @@ def _write_run(cfg: ExperimentConfig, run_dir: Path | None, results: dict,
         json.dumps(results, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailure(f"run results hold a non-finite value: {exc}") from exc
-    run_dir = run_dir or _fresh_run_dir(cfg)
+    run_dir = _fresh_run_dir(cfg)
     for name, content in files.items():
         (run_dir / name).write_text(content)
     record = RunRecord(
@@ -429,11 +431,14 @@ def _evaluator(cfg: ExperimentConfig, m: int) -> CostEvaluator:
     """Exact-trace cost of the configured target on the m-layer circuit.
 
     A target that names no gate, or a matrix file that does not parse, is
-    not unitary or is too small for a chain, raises ConfigError.  Every
-    runner builds its first evaluator before it compiles anything.
+    not unitary, is too small for a chain or acts on more than MAX_QUBITS
+    qubits, raises ConfigError.  Every runner builds its first evaluator
+    before it compiles anything.
     """
     try:
         target = resolve_target(cfg.target)
+        if target.n > MAX_QUBITS:
+            raise ValueError(f"acts on {target.n} qubits, more than {MAX_QUBITS}")
         spec = heisenberg_spec(target.n)
     except ValueError as exc:
         raise ConfigError(f"target {cfg.target!r}: {exc}") from exc
@@ -445,14 +450,14 @@ def _depths(cfg: ExperimentConfig) -> tuple[int, ...]:
     return cfg.m if len(cfg.m) > 1 else tuple(range(1, cfg.m[0] + 1))
 
 
-def run_compile(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
+def run_compile(cfg: ExperimentConfig) -> RunRecord:
     """Multi-restart compile of one gate; training curves plus final table."""
     evaluator = _evaluator(cfg, cfg.single_m)
     summary = multi_restart(evaluator, cfg.init, cfg.optimizer)
     spec = evaluator.circuit.spec
     labels = list(spec.labels)
     return _write_run(
-        cfg, run_dir,
+        cfg,
         {"m": cfg.single_m, "target": cfg.target, **_summary_dict(summary),
          "final_theta": [float(v) for v in summary.best.final_theta],
          "labels": labels,
@@ -462,7 +467,7 @@ def run_compile(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord
          "final_parameters.txt": format_parameters(spec, summary.best.final_theta)})
 
 
-def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
+def run_trotter_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Independent compile per depth; emits the fidelity-vs-m curve.
 
     Each row carries the all-restart mean/std, the converged-only mean
@@ -484,7 +489,7 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
         per_m[str(m)] = _summary_dict(summary)
 
     return _write_run(
-        cfg, run_dir,
+        cfg,
         {"target": cfg.target, "depths": list(depths), "per_m": per_m},
         {"trotter_sweep.csv": _csv(
             ["m", "mean_fidelity", "std_fidelity", "mean_fidelity_converged",
@@ -492,8 +497,7 @@ def run_trotter_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
             rows)})
 
 
-def run_coherent_noise_sweep(cfg: ExperimentConfig,
-                             run_dir: Path | None = None) -> RunRecord:
+def run_coherent_noise_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Charge and nuclear robustness curves for a freshly compiled gate."""
     evaluator = _evaluator(cfg, cfg.single_m)
     summary = multi_restart(evaluator, cfg.init, cfg.optimizer)
@@ -520,7 +524,7 @@ def run_coherent_noise_sweep(cfg: ExperimentConfig,
             for k, v in curves.items()},
     }
     return _write_run(
-        cfg, run_dir, results,
+        cfg, results,
         {"noise_sweep.csv": _csv(
             ["noise_kind", "mode", "delta", "mean_fidelity", "std_fidelity", "samples"],
             rows)})
@@ -546,21 +550,16 @@ def _damping_inits(cfg: ExperimentConfig, theta_star: np.ndarray,
     return inits
 
 
-def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
+def run_damping_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Re-optimization of the noisy cost at each damping level.
 
     Each start is re-trained by `optimize.retrain`: a short Nelder-Mead
-    phase, then an L-BFGS polish on the exact density gradient.
+    phase, then an L-BFGS polish on the exact density gradient, both
+    under the run's [optimizer] tolerances, simplex step and history size.
     """
     noiseless = _evaluator(cfg, cfg.single_m)
     summary = multi_restart(noiseless, cfg.init, cfg.optimizer)
     circuit = noiseless.circuit
-
-    retrain_cfg = OptimizerConfig(
-        cost_tolerance=cfg.optimizer.cost_tolerance,
-        simplex_step=cfg.optimizer.simplex_step,
-        spread_tolerance=cfg.optimizer.spread_tolerance,
-    )
 
     rows = []
     per_point = {}
@@ -571,7 +570,7 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
                                   plan=plan)
         inits = _damping_inits(cfg, summary.best.final_theta, gi, circuit.q)
         try:
-            traces = retrain(evaluator, inits, retrain_cfg)
+            traces = retrain(evaluator, inits, cfg.optimizer)
         except NumericalFailure as exc:
             raise NumericalFailure(f"damping p={float(p)} (grid point {gi}): {exc}") from exc
         fid = np.array([1.0 - t.final_cost for t in traces])
@@ -582,32 +581,33 @@ def run_damping_sweep(cfg: ExperimentConfig, run_dir: Path | None = None) -> Run
         }
 
     return _write_run(
-        cfg, run_dir,
+        cfg,
         {"target": cfg.target, "m": cfg.single_m,
          "compiled_cost": float(summary.best.final_cost),
          "warm_start": cfg.warm_start, "per_point": per_point},
         {"damping_sweep.csv": _csv(["p", "mean_fidelity", "std_fidelity", "restarts"], rows)})
 
 
-def run_grad_stats(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
-    """Per-coordinate gradient variance over random inits, one row per m."""
+def run_grad_stats(cfg: ExperimentConfig) -> RunRecord:
+    """Per-coordinate gradient mean and variance over random inits, one row per m."""
     rows = []
     per_m = {}
     for m in _depths(cfg):
         evaluator = _evaluator(cfg, m)
         labels = evaluator.circuit.spec.labels
-        stats = evaluator.gradient_stats(
-            cfg.grad_samples, cfg.init,
-            seed=derive_subseed(cfg.master_seed, _STREAM_GRADS, m))
-        for j, (mean, var) in enumerate(zip(stats.mean, stats.variance)):
+        rng = derive_rng(derive_subseed(cfg.master_seed, _STREAM_GRADS, m))
+        grads = evaluator.gradients(np.array(
+            [cfg.init.sample(rng, evaluator.circuit.q) for _ in range(cfg.grad_samples)]))
+        variance = grads.var(axis=0)
+        for j, (mean, var) in enumerate(zip(grads.mean(axis=0), variance)):
             rows.append([m, j, labels[j], float(mean), float(var)])
         per_m[str(m)] = {
-            "min_coordinate_variance": float(np.min(stats.variance)),
-            "overall_variance": float(stats.overall_variance),
+            "min_coordinate_variance": float(np.min(variance)),
+            "overall_variance": float(grads.var()),
         }
 
     return _write_run(
-        cfg, run_dir,
+        cfg,
         {"target": cfg.target, "samples": cfg.grad_samples, "per_m": per_m},
         {"grad_stats.csv": _csv(
             ["m", "param_index", "label", "grad_mean", "grad_variance"], rows)})
@@ -622,8 +622,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, run_dir: Path | None = None) -> RunRecord:
-    """Run `cfg`; without a given run_dir the output directory is checked before any compute."""
-    if run_dir is None:
-        _check_output_dir(cfg)
-    return _RUNNERS[cfg.kind](cfg, run_dir=run_dir)
+def run_experiment(cfg: ExperimentConfig) -> RunRecord:
+    """Run `cfg`; the output directory is checked before any compute."""
+    _check_output_dir(cfg)
+    return _RUNNERS[cfg.kind](cfg)

@@ -11,7 +11,7 @@ import pytest
 from spingate import cli, harness
 from spingate.cli import main
 from spingate.errors import NumericalFailure
-from spingate.harness import _SCHEMA, MAX_DEPTH
+from spingate.harness import _SCHEMA, MAX_DEPTH, MAX_QUBITS
 from spingate.optimize import MAX_COUNT, MAX_ITERS
 
 
@@ -408,6 +408,9 @@ def test_too_many_noise_samples_exit_2_before_compiling(tmp_path, capsys):
     "1,0 1,0\n0,0 1,0\n",                      # 2x2, not unitary
     "1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n",  # 3x3, not a power of 2
     "1,0 0,0\n0,0 1,0\n",                      # unitary, but one qubit: no chain
+    pytest.param("".join(" ".join("1,0" if i == j else "0,0" for j in range(2 ** (MAX_QUBITS + 1)))
+                         + "\n" for i in range(2 ** (MAX_QUBITS + 1))),
+                 id="identity-on-MAX_QUBITS+1"),
 ])
 def test_bad_target_file_exits_2_before_compiling(tmp_path, capsys, rows):
     target = tmp_path / "gate.txt"

@@ -12,7 +12,6 @@ from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_factors, _layer
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger
-from spingate.optimize import InitScheme
 from spingate.simulator import (PLACEMENTS, KrausChannel, NoisyCircuitPlan,
                                 amplitude_damping, bell_prep_state,
                                 evolve_density, readout_vector)
@@ -213,21 +212,6 @@ def test_evaluator_validation(spec3):
     two_site = heisenberg_spec(2)
     with pytest.raises(DimMismatch):
         CostEvaluator(build_hva(two_site, 1), toffoli())
-
-
-def test_gradient_stats_reproducible(spec3):
-    ev = make_eval(spec3)
-    init = InitScheme(sigma=0.5, seed=3)
-    a = ev.gradient_stats(20, init, seed=42)
-    b = ev.gradient_stats(20, init, seed=42)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.variance, b.variance)
-    assert a.samples == 20
-    assert a.variance.shape == (15,)
-    c = ev.gradient_stats(20, init, seed=43)
-    assert not np.array_equal(a.variance, c.variance)
-    with pytest.raises(ValueError):
-        ev.gradient_stats(0, init, seed=1)
 
 
 def test_cost_against_raw_trace(spec3, rng):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spingate import harness
 from spingate.cost import CostEvaluator
 from spingate.errors import ConfigError, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, parse_parameters
@@ -110,6 +111,10 @@ class TestConfigValidation:
             ExperimentConfig(damping_placement="after-each-step")
         # only the experiment that sweeps a list needs it non-empty
         assert ExperimentConfig(kind="compile", damping_grid=()).damping_grid == ()
+
+    def test_zero_grad_samples(self):
+        with pytest.raises(ConfigError, match="positive"):
+            ExperimentConfig(grad_samples=0)
 
     def test_counts_held_at_once_are_capped(self):
         for name in ("noise_samples", "grad_samples", "damping_restarts"):
@@ -489,14 +494,14 @@ def test_run_trotter_sweep_expands_single_depth(tmp_path):
 def test_write_run_refuses_non_finite_values(tmp_path, results, files):
     cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
     with pytest.raises(NumericalFailure, match="non-finite"):
-        _write_run(cfg, None, results, files)
+        _write_run(cfg, results, files)
     assert not (tmp_path / "out").exists()
 
 
 def test_write_run_keeps_labels_that_hold_an_n(tmp_path):
     cfg = ExperimentConfig(output_dir=str(tmp_path))
     files = {"a.csv": "noise_kind,mode,delta\nnuclear,uniform-sample,0.05\n"}
-    record = _write_run(cfg, None, {"kind": "nuclear"}, files)
+    record = _write_run(cfg, {"kind": "nuclear"}, files)
     assert record.csv_files == ["a.csv"]
 
 
@@ -612,6 +617,26 @@ def test_run_damping_sweep_cold_start(tmp_path):
     assert record.results["warm_start"] is False
 
 
+def test_run_damping_sweep_retrains_under_the_run_optimizer(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(
+        kind="damping-sweep", m=(1,), output_dir=str(tmp_path),
+        optimizer=tiny_optimizer(max_iters=2, restarts=1, history_size=3,
+                                 gradient_tolerance=1e-3, cost_tolerance=0.5,
+                                 simplex_step=0.2, spread_tolerance=1e-2),
+        damping_grid=(0.01,), damping_restarts=1)
+    seen = []
+    retrain = harness.retrain
+
+    def spy(evaluator, starts, optimizer):
+        seen.append(optimizer)
+        return retrain(evaluator, starts, optimizer)
+
+    monkeypatch.setattr(harness, "retrain", spy)
+    run_damping_sweep(cfg)
+    assert [(o.history_size, o.gradient_tolerance, o.cost_tolerance, o.simplex_step,
+             o.spread_tolerance) for o in seen] == [(3, 1e-3, 0.5, 0.2, 1e-2)]
+
+
 def test_run_damping_sweep_names_the_failing_retraining(tmp_path, monkeypatch):
     # a cost goal of 1 stops the compile and re-training 0 at their first point
     cfg = ExperimentConfig(
@@ -665,6 +690,17 @@ def test_run_grad_stats_outputs(tmp_path):
     assert set(record.results["per_m"]) == {"1", "2"}
     for stats in record.results["per_m"].values():
         assert stats["min_coordinate_variance"] >= 0.0
+
+
+def test_run_grad_stats_follows_the_master_seed(tmp_path):
+    def grad_stats_csv(seed, name):
+        cfg = ExperimentConfig(kind="grad-stats", m=(2,), master_seed=seed,
+                               output_dir=str(tmp_path / name), grad_samples=5)
+        return (Path(run_grad_stats(cfg).run_dir) / "grad_stats.csv").read_text()
+
+    first = grad_stats_csv(42, "a")
+    assert grad_stats_csv(42, "b") == first
+    assert grad_stats_csv(43, "c") != first
 
 
 def test_run_experiment_dispatch(tmp_path):
