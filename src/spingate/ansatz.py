@@ -56,8 +56,8 @@ def _check_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _factor_table(spec: HamiltonianSpec, terms: tuple[int, ...] | None):
-    """Where the factors of `terms` (all when None) take their floats from.
+def _factor_table(spec: HamiltonianSpec, terms: tuple[int, ...]):
+    """Where the factors of `terms` take their floats from.
 
     Factor i, viewed as 2 d^2 interleaved floats, holds cos(a_i) at each
     diagonal real part and -i sin(a_i) P_i at each nonzero of P_i: the
@@ -66,8 +66,7 @@ def _factor_table(spec: HamiltonianSpec, terms: tuple[int, ...] | None):
     block and, for each, its source in the concatenation [cos, sin, -sin].
     """
     perm, phase = spec.nonzeros()
-    if terms is not None:
-        perm, phase = perm[list(terms)], phase[list(terms)]
+    perm, phase = perm[list(terms)], phase[list(terms)]
     k, d = perm.shape
     block, row = (np.arange(k) * 2 * d * d)[:, None], np.arange(d)
     weight = -1j * phase
@@ -79,12 +78,12 @@ def _factor_table(spec: HamiltonianSpec, terms: tuple[int, ...] | None):
     return positions.ravel(), sources.ravel()
 
 
-def _factors(spec: HamiltonianSpec, angles: np.ndarray,
-             terms: tuple[int, ...] | None = None) -> np.ndarray:
-    """cos(a) I - i sin(a) P for angles (..., k) and the k terms they drive (all when None).
+def _factors(spec: HamiltonianSpec, angles: np.ndarray, terms: tuple[int, ...]) -> np.ndarray:
+    """cos(a) I - i sin(a) P for angles (..., k) and the k terms they drive.
 
-    Each value is written straight to its float (see `_factor_table`);
-    every other entry is zero.
+    `terms` names the driven terms by index, tuple(range(Q)) for a whole
+    layer; each tuple has its own cached `_factor_table`.  Each value is
+    written straight to its float; every other entry is zero.
     """
     positions, sources = spec.cached(("factors", terms), lambda: _factor_table(spec, terms))
     d = 2 ** spec.n
@@ -104,15 +103,7 @@ def gate_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     squares to the identity, so the factor is cos(theta_j) I - i sin(theta_j) P.
     """
     theta = _check_theta(circuit, theta)
-    return _factors(circuit.spec, theta)
-
-
-def _ordered_product(factors) -> np.ndarray:
-    """factors[-1] @ ... @ factors[0], multiplied left onto the first."""
-    u = factors[0]
-    for g in factors[1:]:
-        u = g @ u
-    return u
+    return _factors(circuit.spec, theta, tuple(range(circuit.q)))
 
 
 def _varying_columns(rows: np.ndarray) -> np.ndarray:
@@ -129,36 +120,30 @@ def _varying_columns(rows: np.ndarray) -> np.ndarray:
 def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Ordered product of one layer's factors (term 1 applied first).
 
-    theta of shape (..., Q) gives (..., 2^n, 2^n).  A stack whose rows
-    share some columns bit for bit (a noise realization shifts only some
+    theta of shape (..., Q) gives (..., 2^n, 2^n), one body for a single
+    vector and every stack.  A column whose bits are equal in all rows (a
+    single vector's every column; a noise realization shifts only some
     terms: charge noise the couplings 10-15, nuclear noise terms 3, 6 and
-    9) builds row 0's factors once, as single d x d matrices, and per-row
-    factors only for the columns that vary.  The shared columns before the
-    first varying one become one partial product; each row then
-    multiplies its factors in the same order as a single vector's product,
-    a shared d x d factor acting on every slice alike.  A stack with no
-    shared column builds one (B, Q, d, d) factor block.  A (d, d) @
-    (B, d, d) product runs the same per-matrix multiplication as a stacked
-    or an unstacked one, so each slice equals the unstacked result bit for
-    bit.
+    9) gets one d x d factor built from row 0; each varying column gets a
+    (B, d, d) stack of per-row factors.  The product stays d x d up to the
+    first varying factor, and a (d, d) @ (B, d, d) product runs the same
+    per-matrix multiplication as an unstacked one, so each slice equals
+    the single-vector result bit for bit.  A stack whose rows are all
+    equal is one d x d product, tiled at the end.
     """
     theta = _check_theta(circuit, theta)
-    if theta.ndim == 1:
-        return _ordered_product(gate_matrices(circuit, theta))
     rows = theta.reshape(-1, circuit.q)
-    varying = _varying_columns(rows)
-    if len(varying) == circuit.q:
-        factors = list(np.moveaxis(_factors(circuit.spec, rows), 1, 0))
-    else:
-        factors = list(_factors(circuit.spec, rows[0]))
-        own = _factors(circuit.spec, rows[:, varying], tuple(varying.tolist()))
-        for i, j in enumerate(varying):
-            factors[j] = own[:, i]
-        k = varying[0] if len(varying) else circuit.q
-        if k > 1:
-            factors[:k] = [_ordered_product(factors[:k])]
-    u = _ordered_product(factors)
-    if u.ndim == 2:  # every row is row 0
+    varying = _varying_columns(rows).tolist() if len(rows) != 1 else []
+    shared = [j for j in range(circuit.q) if j not in varying]
+    factors = list(_factors(circuit.spec, rows[0].take(shared), tuple(shared))) if shared else []
+    if varying:
+        own = _factors(circuit.spec, rows.take(varying, axis=1), tuple(varying))
+        for i, j in enumerate(varying):  # ascending, so each lands at index j
+            factors.insert(j, own[:, i])
+    u = factors[0]
+    for g in factors[1:]:  # factors[-1] @ ... @ factors[0], multiplied left onto the first
+        u = g @ u
+    if u.ndim == 2 and len(rows) > 1:  # every row is row 0
         u = np.tile(u, (len(rows), 1, 1))
     return u.reshape(theta.shape[:-1] + u.shape[-2:])
 

@@ -17,6 +17,8 @@ basis of Hermitian matrices each step is a real d^2 x d^2 matrix: step(L)^m
 after each layer, (step(G_(Q-1)) ... step(G_0))^m after each gate and
 step(L^m) for final-only: one product of unit steps, repeated.  The
 literal density evolution in the simulator module is its test oracle.
+A noise plan must be built on the evaluator's circuit or an equal one;
+any other plan raises DimMismatch, as `hs_test_probability` does.
 
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
@@ -79,16 +81,14 @@ class CostEvaluator:
             raise ValueError(f"unknown cost mode {self.mode!r}")
         if self.target.n != self.circuit.n:
             raise DimMismatch("target and circuit act on different qubit counts")
+        self._v_dag = self.target.matrix.conj().T
+        self._dim = 2 ** self.circuit.n
         if self.mode == "hs-test-density":
             if self.plan is None:
                 raise ValueError("hs-test-density mode needs a noise plan")
-            if self.plan.circuit is not self.circuit:
-                self.plan = NoisyCircuitPlan(self.circuit, self.plan.channel,
-                                             self.plan.placement,
-                                             self.plan.target_qubits)
+            if self.plan.circuit != self.circuit:
+                raise DimMismatch("the noise plan is built on another circuit")
             self._prepare_density_fastpath()
-        self._v_dag = self.target.matrix.conj().T
-        self._dim = 2 ** self.circuit.n
 
     def _prepare_density_fastpath(self):
         """Kraus stack, Hermitian-basis gather and readout of the density mode.
@@ -115,8 +115,7 @@ class CostEvaluator:
         self._gather_index = 2 * flat + imag
         self._gather_weight = np.where(imag, -weight.imag, weight.real)
         self._kraus = self.plan.register_kraus()
-        v_dag = self.target.matrix.conj().T
-        self._readout = np.ascontiguousarray(self._real_superop(v_dag[None]).T) / (d * d)
+        self._readout = np.ascontiguousarray(self._real_superop(self._v_dag[None]).T) / (d * d)
 
     def _real_superop(self, ops: np.ndarray) -> np.ndarray:
         """Real basis matrix of rho -> sum_k E_k rho E_k^dag for a (K, d, d) stack."""

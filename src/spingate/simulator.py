@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, gate_matrices, layer_unitary
+from .ansatz import AnsatzCircuit, apply_circuit, gate_matrices, layer_unitary
 from .errors import DimMismatch, OutOfRange
 from .linalg import apply_to_qubits, dagger
 from .targets import TargetGate, elementary
@@ -197,15 +197,15 @@ def hs_test_probability(circuit: AnsatzCircuit, theta: np.ndarray,
 
     Equals |Tr(V^dag U)|^2 / d^2 for the noiseless circuit and generalizes
     it when a noise plan is given.  With a plan, the circuit is run on the
-    density matrix of the Bell-pair register with channels per the plan.
+    density matrix of the Bell-pair register with channels per the plan;
+    a plan built on another circuit (not equal to `circuit`) raises
+    DimMismatch.
     """
     if target.n != circuit.n:
         raise DimMismatch(f"target acts on {target.n} qubits, circuit on {circuit.n}")
     n = circuit.n
     n_reg = 2 * n
     if plan is None:
-        from .ansatz import apply_circuit
-
         psi = bell_prep_state(n)
         psi = apply_circuit(circuit, theta, psi)
         sys_qubits = tuple(range(1, n + 1))
@@ -217,9 +217,8 @@ def hs_test_probability(circuit: AnsatzCircuit, theta: np.ndarray,
             psi = apply_to_qubits(psi, h, (i,), n_reg)
         amp = psi[0]
         return float(min(max((amp * amp.conjugate()).real, 0.0), 1.0))
-    if plan.circuit is not circuit:
-        plan = NoisyCircuitPlan(circuit, plan.channel, plan.placement,
-                                plan.target_qubits)
+    if plan.circuit != circuit:
+        raise DimMismatch("the noise plan is built on another circuit")
     u = bell_prep_state(n)
     rho = np.outer(u, u.conj())
     rho = evolve_density(plan, theta, rho)

@@ -14,6 +14,11 @@ import numpy as np
 from .errors import NotUnitary, UnknownGate
 from .linalg import UNITARITY_TOL, is_unitary
 
+# most qubits a target may act on (the paper's act on 3): the density route
+# builds (2, d^2, d^2) int64 and complex tables, 16 and 32 MiB at 5 qubits,
+# 256 and 512 MiB at 6, 4 and 8 GiB at 7
+MAX_QUBITS = 5
+
 
 @dataclass(frozen=True)
 class TargetGate:
@@ -79,16 +84,22 @@ def load_target_matrix(path: str) -> TargetGate:
     """Read a gate from a text file: one row per line, entries as `re,im` pairs.
 
     The matrix must be square with power-of-2 size and unitary; the gate is
-    named after the file stem.
+    named after the file stem.  A row or a row count past 2^MAX_QUBITS is
+    rejected as soon as it is read, before the rest is parsed.
     """
+    cap = 2 ** MAX_QUBITS
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            tokens = line.split()
+            if len(rows) == cap or len(tokens) > cap:
+                raise ValueError(f"{path} is larger than {cap}x{cap}: "
+                                 f"targets act on at most {MAX_QUBITS} qubits")
             entries = []
-            for tok in line.split():
+            for tok in tokens:
                 re_s, _, im_s = tok.partition(",")
                 if not _:
                     raise ValueError(f"bad matrix entry {tok!r} in {path}")

@@ -157,20 +157,30 @@ NUCLEAR_SHARED = [j not in (2, 5, 8) for j in range(15)]
 @settings(max_examples=80, deadline=None)
 @given(shared=st.lists(st.booleans(), min_size=15, max_size=15),
        rows=st.integers(min_value=1, max_value=6),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(shared=[False] * 15, rows=4, seed=1)
-@example(shared=[True] * 15, rows=4, seed=2)
-@example(shared=CHARGE_SHARED, rows=4, seed=3)
-@example(shared=NUCLEAR_SHARED, rows=4, seed=4)
-def test_layer_unitary_with_shared_columns(spec3, shared, rows, seed):
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       outer=st.sampled_from([(), (2,)]))
+@example(shared=[False] * 15, rows=4, seed=1, outer=())
+@example(shared=[True] * 15, rows=4, seed=2, outer=())
+@example(shared=CHARGE_SHARED, rows=4, seed=3, outer=())
+@example(shared=NUCLEAR_SHARED, rows=4, seed=4, outer=())
+@example(shared=[False] * 15, rows=1, seed=5, outer=())
+@example(shared=CHARGE_SHARED, rows=3, seed=6, outer=(2,))
+def test_layer_unitary_with_shared_columns(spec3, shared, rows, seed, outer):
     # the columns in `shared` hold row 0's bits in every row and get one
-    # factor built from row 0; every slice still equals its single-vector
-    # result bit for bit, with all columns shared (all rows equal) included
+    # factor built from row 0; every slice of the layer and of the circuit
+    # still equals its single-vector result bit for bit, with one-row
+    # stacks, stacks under extra leading axes and all columns shared (all
+    # rows equal) included
     c = build_hva(spec3, 2)
-    stack = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(rows, 15))
-    stack[:, shared] = stack[0, shared]
-    varies = ~np.array(shared) & (rows > 1)
-    assert np.array_equal(_varying_columns(stack), np.flatnonzero(varies))
-    for row, lu in zip(stack, layer_unitary(c, stack)):
+    stack = np.random.default_rng(seed).uniform(-4.0, 4.0, size=outer + (rows, 15))
+    flat = stack.reshape(-1, 15)
+    flat[:, shared] = flat[0, shared]
+    varies = ~np.array(shared) & (len(flat) > 1)
+    assert np.array_equal(_varying_columns(flat), np.flatnonzero(varies))
+    lus = layer_unitary(c, stack)
+    cus = circuit_unitary(c, stack)
+    assert lus.shape == cus.shape == stack.shape[:-1] + (8, 8)
+    for row, lu, cu in zip(flat, lus.reshape(-1, 8, 8), cus.reshape(-1, 8, 8)):
         assert lu.tobytes() == layer_unitary(c, row).tobytes()
+        assert cu.tobytes() == circuit_unitary(c, row).tobytes()
     assert layer_unitary(c, np.zeros((0, 15))).shape == (0, 8, 8)

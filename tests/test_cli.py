@@ -422,6 +422,22 @@ def test_bad_target_file_exits_2_before_compiling(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [
+    " ".join(["0,0"] * (2 ** MAX_QUBITS + 1)) + "\nnot a row\n",
+    "0,0\n" * (2 ** MAX_QUBITS + 1) + "not a row\n",
+], ids=["entries-past-the-cap", "rows-past-the-cap"])
+def test_oversized_target_file_exits_2_naming_the_cap(tmp_path, capsys, rows):
+    # the cap is named as soon as the row or the row count passes it, so the
+    # unparseable line after it is never read
+    target = tmp_path / "gate.txt"
+    target.write_text(rows)
+    assert main(["compile", "--m", "1", "--restarts", "1", "--target", str(target),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: target" in err and f"at most {MAX_QUBITS} qubits" in err
+    assert "bad matrix entry" not in err
+
+
 def test_python_m_spingate_runs_the_cli():
     import spingate
 

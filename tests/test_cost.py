@@ -214,6 +214,14 @@ def test_evaluator_validation(spec3):
         CostEvaluator(build_hva(two_site, 1), toffoli())
 
 
+def test_evaluator_rejects_a_plan_on_another_circuit(spec3):
+    c = build_hva(spec3, 2)
+    for other in (build_hva(spec3, 3), build_hva(heisenberg_spec(2), 2)):
+        plan = NoisyCircuitPlan(other, amplitude_damping(0.05))
+        with pytest.raises(DimMismatch):
+            CostEvaluator(c, toffoli(), mode="hs-test-density", plan=plan)
+
+
 def test_cost_against_raw_trace(spec3, rng):
     # independent reassembly of the definition from raw matrices
     ev = make_eval(spec3, m=2)

@@ -1,0 +1,29 @@
+"""The output-digest tool still builds every run it digests.
+
+`tools/output_digests.py` compares two trees byte for byte by running a
+fixed matrix of experiments; a renamed config field would otherwise
+surface only when someone runs it.  Building its configs takes
+milliseconds; running them is left to the tool.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from spingate.harness import ExperimentConfig
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+
+
+def test_every_digested_config_builds_at_both_master_seeds(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave tools/ as it is
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it on import
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = tool.configs()
+    assert len(tool.MASTER_SEEDS) * len(runs) == 24
+    for seed in tool.MASTER_SEEDS:
+        for name, fields in runs.items():
+            cfg = ExperimentConfig(master_seed=seed, output_dir=str(tmp_path / name), **fields)
+            assert cfg.master_seed == seed

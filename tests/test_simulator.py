@@ -5,6 +5,7 @@ import pytest
 
 from spingate.ansatz import build_hva, circuit_unitary
 from spingate.errors import DimMismatch, OutOfRange
+from spingate.hamiltonian import heisenberg_spec
 from spingate.linalg import dagger, kron
 from spingate.simulator import (KrausChannel, NoisyCircuitPlan,
                                 amplitude_damping, bell_prep_state,
@@ -173,6 +174,14 @@ def test_hs_test_probability_density_route_noiseless(spec3, rng):
     pure = hs_test_probability(c, theta, target)
     noisy = hs_test_probability(c, theta, target, plan=plan)
     assert abs(pure - noisy) < 1e-10
+
+
+def test_hs_test_probability_rejects_a_plan_on_another_circuit(spec3):
+    c = build_hva(spec3, 2)
+    for other in (build_hva(spec3, 3), build_hva(heisenberg_spec(2), 2)):
+        with pytest.raises(DimMismatch):
+            hs_test_probability(c, np.zeros(15), toffoli(),
+                                plan=NoisyCircuitPlan(other, amplitude_damping(0.05)))
 
 
 def test_hs_test_probability_damping_lowers_overlap(spec3):
