@@ -117,22 +117,19 @@ def _varying_columns(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero((bits != bits[0]).any(axis=0))
 
 
-def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Ordered product of one layer's factors (term 1 applied first).
+def layer_products(circuit: AnsatzCircuit, rows: np.ndarray) -> tuple[list, list]:
+    """Factors G_j and prefixes F_j = G_j ... G_0 of one layer for a (B, Q) stack.
 
-    theta of shape (..., Q) gives (..., 2^n, 2^n), one body for a single
-    vector and every stack.  A column whose bits are equal in all rows (a
-    single vector's every column; a noise realization shifts only some
-    terms: charge noise the couplings 10-15, nuclear noise terms 3, 6 and
-    9) gets one d x d factor built from row 0; each varying column gets a
-    (B, d, d) stack of per-row factors.  The product stays d x d up to the
-    first varying factor, and a (d, d) @ (B, d, d) product runs the same
-    per-matrix multiplication as an unstacked one, so each slice equals
-    the single-vector result bit for bit.  A stack whose rows are all
-    equal is one d x d product, tiled at the end.
+    The one forward pass behind every layer, cost and gradient: two lists
+    of Q matrices.  A column whose bits are equal in all rows (a single
+    row's every column; a noise realization shifts only some terms: charge
+    noise the couplings 10-15, nuclear noise terms 3, 6 and 9) gets one
+    d x d factor built from row 0; each varying column gets a (B, d, d)
+    stack of per-row factors.  The prefixes stay d x d up to the first
+    varying factor, and a (d, d) @ (B, d, d) product runs the same
+    per-matrix multiplication as an unstacked one, so each row's slice
+    equals its single-row result bit for bit.
     """
-    theta = _check_theta(circuit, theta)
-    rows = theta.reshape(-1, circuit.q)
     varying = _varying_columns(rows).tolist() if len(rows) != 1 else []
     shared = [j for j in range(circuit.q) if j not in varying]
     factors = list(_factors(circuit.spec, rows[0].take(shared), tuple(shared))) if shared else []
@@ -140,24 +137,42 @@ def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
         own = _factors(circuit.spec, rows.take(varying, axis=1), tuple(varying))
         for i, j in enumerate(varying):  # ascending, so each lands at index j
             factors.insert(j, own[:, i])
-    u = factors[0]
-    for g in factors[1:]:  # factors[-1] @ ... @ factors[0], multiplied left onto the first
-        u = g @ u
+    prefixes = [factors[0]]
+    for g in factors[1:]:  # F_j = G_j @ F_(j-1), multiplied left onto the first factor
+        prefixes.append(g @ prefixes[-1])
+    return factors, prefixes
+
+
+def layer_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
+    """Ordered product of one layer's factors (term 1 applied first).
+
+    theta of shape (..., Q) gives (..., 2^n, 2^n): the last prefix of
+    `layer_products`.  A stack whose rows are all equal is one d x d
+    product, tiled at the end.
+    """
+    theta = _check_theta(circuit, theta)
+    rows = theta.reshape(-1, circuit.q)
+    u = layer_products(circuit, rows)[1][-1]
     if u.ndim == 2 and len(rows) > 1:  # every row is row 0
         u = np.tile(u, (len(rows), 1, 1))
     return u.reshape(theta.shape[:-1] + u.shape[-2:])
 
 
+def layer_powers(layer: np.ndarray, m: int) -> list[np.ndarray]:
+    """[I, L, L^2, ..., L^(m-1)], each L @ the one before, for a matrix or a stack."""
+    powers = [np.eye(layer.shape[-1], dtype=layer.dtype), layer][:m]
+    for _ in range(m - 2):
+        powers.append(layer @ powers[-1])
+    return powers
+
+
 def circuit_unitary(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Dense unitary of the whole circuit: the layer unitary raised to m.
 
-    Broadcasts like layer_unitary: (..., Q) gives (..., 2^n, 2^n).
+    Broadcasts like layer_unitary: (..., Q) gives (..., 2^n, 2^n).  L^m is
+    the last of `layer_powers` up to m, so it is L @ (L @ ... (L @ L)).
     """
-    ul = layer_unitary(circuit, theta)
-    u = ul
-    for _ in range(circuit.m - 1):
-        u = ul @ u
-    return u
+    return layer_powers(layer_unitary(circuit, theta), circuit.m + 1)[-1]
 
 
 def apply_circuit(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:

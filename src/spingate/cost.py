@@ -28,12 +28,12 @@ broadcasting kernel over chunks of rows, and `cost` is its one-row case,
 so every row's cost equals the single-vector cost bit for bit.
 
 Every mode has two gradients: a central finite difference (2Q cost calls)
-and an adjoint-style sweep that uses the shared layer: one pass over the
-layer's factors plus O(m) products for the depth.  The sweep's traces
+and an adjoint-style sweep over `ansatz.layer_products` (the layer's
+factors and prefixes) and O(m) `layer_powers`.  The sweep's traces
 Tr(P_j F_j B_j) sum over each Pauli string's nonzeros only, one per row
 (`HamiltonianSpec.nonzeros`), which adds the same terms in the same
-order as the sum over every entry.  The noiseless modes
-feed the sweep the environment of V^dag; the density mode reduces the
+order as the sum over every entry.  The noiseless modes feed the
+sweep the environment of V^dag; the density mode reduces the
 real environment of its superoperators through the Kraus stack to a
 complex 8x8 environment of the layer and feeds the sweep that.
 `gradients` runs the noiseless sweep over a (B, Q) stack,
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import (AnsatzCircuit, circuit_unitary, gate_matrices,
+from .ansatz import (AnsatzCircuit, circuit_unitary, layer_powers, layer_products,
                      layer_unitary)
 from .errors import DimMismatch, LengthMismatch, NumericalFailure
 from .hamiltonian import wrap_angles
@@ -132,7 +132,7 @@ class CostEvaluator:
         elif placement == "after-each-layer":
             units, repeat = [layer_unitary(circuit, theta)], circuit.m
         else:
-            units, repeat = gate_matrices(circuit, theta), circuit.m
+            units, repeat = layer_products(circuit, theta[None])[0], circuit.m
         # one unit at a time: a (Q, d^2, d^2) stack of gate steps ran 2.5x slower
         step = self._real_superop(kraus @ units[0])
         for u in units[1:]:
@@ -224,11 +224,11 @@ class CostEvaluator:
         dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).
         """
         d = self._dim
-        gs, fwd = _layer_factors(self.circuit, thetas)
-        powers = _powers(fwd[-1], self.circuit.m)
+        gs, fwd = layer_products(self.circuit, thetas)
+        powers = layer_powers(fwd[-1], self.circuit.m)
         t_val = np.trace(self._v_dag @ fwd[-1] @ powers[-1], axis1=-2, axis2=-1)
         dt = _layer_sweep(self.circuit, gs, fwd, _depth_environment(powers, self._v_dag))
-        return -(2.0 / (d * d)) * (np.conj(t_val)[:, None] * dt).real
+        return -(2.0 / (d * d)) * (np.conj(t_val)[..., None] * dt).real
 
     def _step_environment(self, u: np.ndarray, env: np.ndarray) -> np.ndarray:
         """Complex 8x8 G with <env, d step(u)> = Re Tr(G du), step(u) = _real_superop(A u).
@@ -266,28 +266,28 @@ class CostEvaluator:
           dG_j/dtheta_j = -i P_j G_j.
         """
         circuit, kraus, m = self.circuit, self._kraus, self.circuit.m
-        gs, fwd = _layer_factors(circuit, theta[None])
+        gs, fwd = layer_products(circuit, theta[None])
         layer = fwd[-1]
         placement = self.plan.placement
         if placement == "final-only":
-            powers = _powers(layer, m)
-            g = self._step_environment((layer @ powers[-1])[0], self._readout)
-            return -_layer_sweep(circuit, gs, fwd, _depth_environment(powers, g))[0].real
+            powers = layer_powers(layer, m)
+            g = self._step_environment(layer @ powers[-1], self._readout)
+            return -_layer_sweep(circuit, gs, fwd, _depth_environment(powers, g)).real
         if placement == "after-each-layer":
-            step = self._real_superop(kraus @ layer[0])
-            env = _depth_environment(_powers(step.T, m), self._readout)
-            g = self._step_environment(layer[0], env)
-            return -_layer_sweep(circuit, gs, fwd, g)[0].real
-        steps = [self._real_superop(kraus @ g) for g in gs[:, 0]]
+            step = self._real_superop(kraus @ layer)
+            env = _depth_environment(layer_powers(step.T, m), self._readout)
+            g = self._step_environment(layer, env)
+            return -_layer_sweep(circuit, gs, fwd, g).real
+        steps = [self._real_superop(kraus @ g) for g in gs]
         before = [np.eye(len(steps[0]))]  # before[j] = S_(j-1) ... S_0
         for s in steps[:-1]:
             before.append(s @ before[-1])
-        after = _depth_environment(_powers((steps[-1] @ before[-1]).T, m), self._readout)
+        after = _depth_environment(layer_powers((steps[-1] @ before[-1]).T, m), self._readout)
         paulis = circuit.spec.matrices()
         grad = np.empty(circuit.q)
         for j in reversed(range(circuit.q)):
-            g = self._step_environment(gs[j, 0], after @ before[j].T)
-            grad[j] = -np.trace(g @ (-1j * paulis[j]) @ gs[j, 0]).real
+            g = self._step_environment(gs[j], after @ before[j].T)
+            grad[j] = -np.trace(g @ (-1j * paulis[j]) @ gs[j]).real
             after = steps[j].T @ after
         return grad
 
@@ -300,27 +300,6 @@ def _in_chunks(kernel, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_factors(circuit: AnsatzCircuit, thetas: np.ndarray):
-    """Factors gs[j] = G_j and prefixes fwd[j] = G_j ... G_0 of a (B, Q) stack.
-
-    Both are (Q, B, d, d) arrays.
-    """
-    gs = np.moveaxis(gate_matrices(circuit, thetas), 1, 0)
-    fwd = np.empty_like(gs)
-    fwd[0] = gs[0]
-    for j in range(1, len(gs)):
-        fwd[j] = gs[j] @ fwd[j - 1]
-    return gs, fwd
-
-
-def _powers(a: np.ndarray, m: int) -> list[np.ndarray]:
-    """[I, a, a^2, ..., a^(m-1)] for a square matrix or a stack of them."""
-    powers = [np.eye(a.shape[-1], dtype=a.dtype)]
-    for _ in range(m - 1):
-        powers.append(a @ powers[-1])
-    return powers
-
-
 def _depth_environment(powers: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """sum_l a^l x a^(m-1-l) from powers = [I, a, ..., a^(m-1)].
 
@@ -331,24 +310,29 @@ def _depth_environment(powers: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return sum(powers[l] @ x @ powers[m - 1 - l] for l in range(m))
 
 
-def _layer_sweep(circuit: AnsatzCircuit, gs: np.ndarray, fwd: np.ndarray,
-                 env: np.ndarray) -> np.ndarray:
-    """d Tr(M L)/dtheta_j for each row of a stack, a (B, Q) complex array.
+def _layer_sweep(circuit: AnsatzCircuit, gs: list, fwd: list, env: np.ndarray) -> np.ndarray:
+    """d Tr(M L)/dtheta_j for the factors and prefixes of `layer_products`, (..., Q) complex.
 
     L = G_(Q-1) ... G_0 with G_j = exp(-i theta_j P_j), so dL/dtheta_j
     inserts -i P_j after G_j and d Tr(M L)/dtheta_j = -i Tr(P_j F_j B_j)
     with the prefix F_j = fwd[j] and the suffix B_j = M G_(Q-1) ... G_(j+1).
-    This costs O(Q) matrix products instead of O(Q^2).  Every product is
-    the same per-matrix multiplication for each row of the stack.  Row a
-    of P_j has one nonzero, phase[j, a] in column perm[j, a], so the trace
+    This costs O(Q) matrix products instead of O(Q^2).  The d x d prefixes
+    and M are broadcast to the last prefix's shape as they are stacked;
+    one row or all rows equal stay d x d and give a (Q,) result.  Every
+    product is the same per-matrix multiplication for each row.  Row a of
+    P_j has one nonzero, phase[j, a] in column perm[j, a], so the trace
     sums phase[j, a] F_j[perm[j, a], c] B_j[c, a] over a and c alone: the
     same nonzero terms, added in the same order, as the sum over every
     entry of P_j.
     """
-    back = np.empty_like(gs)
+    q, shape = len(gs), fwd[-1].shape
+    back = np.empty((q,) + shape, dtype=complex)
     back[-1] = env
-    for j in range(len(gs) - 2, -1, -1):
-        back[j] = back[j + 1] @ gs[j + 1]
+    for j in range(q - 2, -1, -1):
+        np.matmul(back[j + 1], gs[j + 1], out=back[j])
+    prefixes = np.empty_like(back)
+    for j, f in enumerate(fwd):
+        prefixes[j] = f
     perm, phase = circuit.spec.nonzeros()
-    rows = fwd[np.arange(len(gs))[:, None], :, perm]  # (Q, d, B, d): row perm[j, a] of F_j
-    return -1j * np.einsum("ja,jarc,jrca->rj", phase, rows, back)
+    rows = prefixes[np.arange(q)[:, None], ..., perm, :]  # (Q, d, ..., d): row perm[j, a] of F_j
+    return -1j * np.einsum("ja,ja...c,j...ca->...j", phase, rows, back)

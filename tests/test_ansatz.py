@@ -79,6 +79,18 @@ def test_circuit_unitary_is_layer_power(spec3, rng):
         ul = layer_unitary(c, theta)
         assert np.max(np.abs(circuit_unitary(c, theta)
                              - np.linalg.matrix_power(ul, m))) < 1e-11
+    # every output's bits depend on the association u = ul @ u, so pin it
+    # for a vector and a stack with shared columns
+    stack = rng.uniform(-4.0, 4.0, size=(5, 15))
+    stack[:, CHARGE_SHARED] = stack[0, CHARGE_SHARED]
+    for m in (1, 2, 5):
+        c = build_hva(spec3, m)
+        for thetas in (theta, stack):
+            ul = layer_unitary(c, thetas)
+            u = ul
+            for _ in range(m - 1):
+                u = ul @ u
+            assert circuit_unitary(c, thetas).tobytes() == u.tobytes()
 
 
 def test_circuit_unitary_unitarity(spec3, rng):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spingate.ansatz import build_hva, circuit_unitary, gate_matrices
-from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_factors, _layer_sweep
+from spingate.ansatz import build_hva, circuit_unitary, gate_matrices, layer_products
+from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_sweep
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger
@@ -278,13 +278,26 @@ def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, s
        m=st.sampled_from([1, 6, 12]),
        rows=st.integers(min_value=1, max_value=40),
        scale=st.sampled_from([1.0, np.pi, 30.0]),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1)
-@example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2)
-def test_stacked_gradients_equal_single_gradients_bitwise(target_name, m, rows, scale, seed):
-    # rows up to 40 cross the chunk edges; |angles| up to 30 exercise wrapping
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       shared=st.lists(st.booleans(), min_size=15, max_size=15))
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1,
+         shared=[False] * 15)
+@example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2,
+         shared=[False] * 15)
+@example(target_name="fredkin", m=1, rows=COST_CHUNK_ROWS + 3, scale=np.pi, seed=3,
+         shared=CHARGE_SHARED)
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS + 3, scale=np.pi, seed=4,
+         shared=NUCLEAR_SHARED)
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=5,
+         shared=[True] * 15)
+def test_stacked_gradients_equal_single_gradients_bitwise(target_name, m, rows, scale, seed,
+                                                          shared):
+    # rows up to 40 cross the chunk edges; |angles| up to 30 exercise
+    # wrapping; the `shared` columns hold row 0's coordinates, as in the
+    # costs test (all 15: all rows equal, as `[init] sigma = 0` gives)
     ev = _stack_evaluator(target_name, m)
     stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
+    stack[:, shared] = stack[0, shared]
     single = np.array([ev.gradient(row) for row in stack])
     assert np.array_equal(ev.gradients(stack), single)
     for row, grad in zip(stack, single, strict=True):
@@ -314,18 +327,30 @@ def _adjoint_gradient_one_vector(ev, theta):
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("rows", [1, 3, 17])
 def test_layer_sweep_over_nonzeros_equals_dense_einsum(n, rows):
-    """The sum over each Pauli string's nonzeros equals the sum over all its entries, bitwise."""
+    """The sum over each Pauli string's nonzeros equals the sum over all its entries, bitwise.
+
+    Both on an all-varying stack and on one whose every third column
+    varies, where `layer_products` gives d x d shared factors and prefixes.
+    """
     circuit = build_hva(heisenberg_spec(n), 3)
     rng = np.random.default_rng(10 * n + rows)
-    gs, fwd = _layer_factors(circuit, rng.uniform(-np.pi, np.pi, size=(rows, circuit.q)))
     d = 2 ** n
-    env = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
-    back = np.empty_like(gs)
-    back[-1] = env
-    for j in range(circuit.q - 2, -1, -1):
-        back[j] = back[j + 1] @ gs[j + 1]
-    dense = -1j * np.einsum("jab,jrbc,jrca->rj", circuit.spec.matrices(), fwd, back)
-    assert _layer_sweep(circuit, gs, fwd, env).tobytes() == dense.tobytes()
+    stack = rng.uniform(-np.pi, np.pi, size=(rows, circuit.q))
+    shared = np.arange(circuit.q) % 3 != 2
+    shared_stack = stack.copy()
+    shared_stack[:, shared] = stack[0, shared]
+    for thetas in (stack, shared_stack):
+        gs, fwd = layer_products(circuit, thetas)
+        shape = fwd[-1].shape
+        env = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        back = np.empty((circuit.q,) + shape, dtype=complex)
+        back[-1] = env
+        for j in range(circuit.q - 2, -1, -1):
+            back[j] = back[j + 1] @ gs[j + 1]
+        prefixes = np.stack([np.broadcast_to(f, shape) for f in fwd])
+        dense = -1j * np.einsum("jab,j...bc,j...ca->...j", circuit.spec.matrices(), prefixes, back)
+        assert _layer_sweep(circuit, gs, fwd, env).tobytes() == dense.tobytes()
+        assert dense.shape == shape[:-2] + (circuit.q,)
 
 
 def test_costs_other_modes_follow_cost(spec3, rng):
