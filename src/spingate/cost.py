@@ -15,17 +15,19 @@ is the Kraus sum sum_k (A_k u) (x) conj(A_k u) over the plan's register
 Kraus operators A_k.  Kraus maps preserve Hermiticity, so in a fixed real
 basis of Hermitian matrices each step is a real d^2 x d^2 matrix: step(L)^m
 after each layer, (step(G_(Q-1)) ... step(G_0))^m after each gate and
-step(L^m) for final-only: one product of unit steps, repeated.  The
-literal density evolution in the simulator module is its test oracle.
+step(L^m) for final-only: one product of unit steps from one
+`layer_products` call, repeated.  The literal density evolution in the
+simulator module is its test oracle.
 A noise plan must be built on the evaluator's circuit or an equal one;
 any other plan raises DimMismatch, as `hs_test_probability` does.
 
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
 A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
-`costs` evaluates a stack of vectors; in exact-trace mode it runs a
-broadcasting kernel over chunks of rows, and `cost` is its one-row case,
-so every row's cost equals the single-vector cost bit for bit.
+`costs` evaluates a stack of vectors; in exact-trace mode it powers the
+layer of `layer_products` over chunks of rows, and `cost` is its one-row
+case (one-row and all-equal chunks stay d x d and give one value), so
+every row's cost equals the single-vector cost bit for bit.
 
 Every mode has two gradients: a central finite difference (2Q cost calls)
 and an adjoint-style sweep over `ansatz.layer_products` (the layer's
@@ -49,8 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import (AnsatzCircuit, circuit_unitary, layer_powers, layer_products,
-                     layer_unitary)
+from .ansatz import AnsatzCircuit, layer_powers, layer_products
 from .errors import DimMismatch, LengthMismatch, NumericalFailure
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
@@ -126,23 +127,20 @@ class CostEvaluator:
         return terms.sum(axis=0)
 
     def _density_cost(self, theta: np.ndarray) -> float:
-        circuit, placement, kraus = self.circuit, self.plan.placement, self._kraus
+        placement, kraus, m = self.plan.placement, self._kraus, self.circuit.m
+        gs, fwd = layer_products(self.circuit, theta[None])
         if placement == "final-only":
-            units, repeat = [circuit_unitary(circuit, theta)], 1
+            units, repeat = [layer_powers(fwd[-1], m + 1)[-1]], 1
         elif placement == "after-each-layer":
-            units, repeat = [layer_unitary(circuit, theta)], circuit.m
+            units, repeat = fwd[-1:], m
         else:
-            units, repeat = layer_products(circuit, theta[None])[0], circuit.m
+            units, repeat = gs, m
         # one unit at a time: a (Q, d^2, d^2) stack of gate steps ran 2.5x slower
         step = self._real_superop(kraus @ units[0])
         for u in units[1:]:
             step = self._real_superop(kraus @ u) @ step
         p = np.vdot(self._readout, np.linalg.matrix_power(step, repeat))
         return 1.0 - float(min(max(p, 0.0), 1.0))
-
-    @property
-    def noisy(self) -> bool:
-        return self.mode == "hs-test-density"
 
     def _check(self, theta: np.ndarray, ndim: int = 1) -> np.ndarray:
         """Wrapped float copy of one vector (ndim 1) or a (B, Q) stack (ndim 2)."""
@@ -159,7 +157,7 @@ class CostEvaluator:
         theta = self._check(theta)
         self.eval_count += 1
         if self.mode == "exact-trace":
-            return float(self._exact_costs(theta[None])[0])
+            return self._exact_costs(theta[None])
         if self.mode == "hs-test-statevector":
             return 1.0 - hs_test_probability(self.circuit, theta, self.target)
         return self._density_cost(theta)
@@ -177,9 +175,10 @@ class CostEvaluator:
         self.eval_count += len(thetas)
         return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)))
 
-    def _exact_costs(self, thetas: np.ndarray) -> np.ndarray:
-        """Exact-trace costs of a wrapped (B, Q) stack."""
-        return 1.0 - hs_overlap(circuit_unitary(self.circuit, thetas), self.target.matrix)
+    def _exact_costs(self, thetas: np.ndarray) -> float | np.ndarray:
+        """Exact-trace costs of a wrapped (B, Q) stack; one value if the layer stays d x d."""
+        layer = layer_products(self.circuit, thetas)[1][-1]
+        return 1.0 - hs_overlap(layer_powers(layer, self.circuit.m + 1)[-1], self.target.matrix)
 
     def fidelity(self, theta: np.ndarray) -> float:
         return 1.0 - self.cost(theta)
@@ -199,7 +198,7 @@ class CostEvaluator:
         per broadcast call; the density mode answers row by row.
         """
         thetas = self._check(thetas, ndim=2)
-        if self.noisy:
+        if self.mode == "hs-test-density":
             return np.array([self._density_gradient(row) for row in thetas]).reshape(thetas.shape)
         return _in_chunks(self._gradient_adjoint, thetas, np.empty(thetas.shape))
 

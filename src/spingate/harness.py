@@ -42,7 +42,7 @@ from .errors import ConfigError, NumericalFailure
 from .hamiltonian import format_parameters, heisenberg_spec
 from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_grid,
                     robustness_sweep)
-from .optimize import (MAX_COUNT, InitScheme, OptimizerConfig, RestartSummary,
+from .optimize import (MAX_COUNT, InitScheme, OptimizerConfig, RestartSummary, check_integer,
                        multi_restart, retrain)
 from .seeding import derive_rng, derive_subseed
 from .simulator import PLACEMENTS, NoisyCircuitPlan, amplitude_damping
@@ -98,9 +98,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not self.m or any(int(v) < 1 for v in self.m):
+        for v in self.m:
+            check_integer("m", v)
+        for name in ("master_seed", "noise_samples", "damping_restarts", "grad_samples"):
+            check_integer(name, getattr(self, name))
+        if not self.m or any(v < 1 for v in self.m):
             raise ConfigError(f"depth list must be positive integers, got {self.m!r}")
-        if any(int(v) > MAX_DEPTH for v in self.m):
+        if any(v > MAX_DEPTH for v in self.m):
             raise ConfigError(f"depths must be at most {MAX_DEPTH}, got {self.m!r}")
         for name in ("m", "noise_kinds", "damping_grid"):
             values = getattr(self, name)

@@ -88,6 +88,12 @@ MAX_ITERS = 20_000
 STACKED_DIRECTION_ROWS = 3
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError unless value is an int or a numpy integer; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InitScheme:
     """Gaussian initial parameters, clipped to a box.
@@ -133,6 +139,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in DEFAULT_MAX_ITERS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        check_integer("restarts", self.restarts)
+        check_integer("history_size", self.history_size)
+        if self.max_iters is not None:
+            check_integer("max_iters", self.max_iters)
         if self.restarts < 1 or self.history_size < 1:
             raise ConfigError("restarts and history_size must be at least 1")
         if self.restarts > MAX_COUNT:

@@ -11,7 +11,7 @@ from spingate.ansatz import build_hva, circuit_unitary, gate_matrices, layer_pro
 from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_sweep
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
-from spingate.linalg import dagger
+from spingate.linalg import dagger, hs_overlap
 from spingate.simulator import (PLACEMENTS, KrausChannel, NoisyCircuitPlan,
                                 amplitude_damping, bell_prep_state,
                                 evolve_density, readout_vector)
@@ -271,6 +271,10 @@ def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, s
     stack[:, shared] = stack[0, shared]
     single = np.array([ev.cost(row) for row in stack])
     assert ev.costs(stack).tobytes() == single.tobytes()
+    # every row also equals the public circuit-unitary route, byte for byte
+    public = np.array([1.0 - hs_overlap(circuit_unitary(ev.circuit, wrap_angles(row)),
+                                        ev.target.matrix) for row in stack])
+    assert public.tobytes() == single.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -125,6 +125,19 @@ class TestConfigValidation:
             OptimizerConfig(restarts=MAX_COUNT + 1)
         assert OptimizerConfig(restarts=MAX_COUNT).restarts == MAX_COUNT
 
+    def test_integer_fields_take_integers_only(self):
+        # a float used to run truncated (master_seed=1.5 ran seed 1) or fail
+        # late with a bare TypeError; a bool used to count as 1
+        for name in ("master_seed", "noise_samples", "damping_restarts", "grad_samples"):
+            for value in (True, 1.5, 2.0):
+                with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                    ExperimentConfig(**{name: value})
+            assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
+        for m in ((True,), (2.5,), (6, 2.0)):
+            with pytest.raises(ConfigError, match="m must be an integer"):
+                ExperimentConfig(kind="trotter-sweep", m=m)
+        assert ExperimentConfig(m=(np.int64(2),)).single_m == 2
+
     def test_single_m_guard(self):
         cfg = ExperimentConfig(m=(2, 3))
         with pytest.raises(ConfigError):

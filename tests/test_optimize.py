@@ -227,6 +227,12 @@ def test_optimizer_config_validation():
                 dict(simplex_step=1e308)):
         with pytest.raises(ConfigError):
             OptimizerConfig(**bad)
+    # integer fields take integers only: no bool, no float, even a whole one
+    for name in ("restarts", "history_size", "max_iters"):
+        for value in (True, 2.5, 3.0):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                OptimizerConfig(**{name: value})
+        assert getattr(OptimizerConfig(**{name: np.int64(3)}), name) == 3
     assert OptimizerConfig().resolved_max_iters == 200
     assert OptimizerConfig(algorithm="nelder-mead").resolved_max_iters == 2000
     assert OptimizerConfig(max_iters=17).resolved_max_iters == 17

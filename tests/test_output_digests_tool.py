@@ -10,7 +10,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from spingate.harness import ExperimentConfig
+from spingate.harness import EXPERIMENT_KINDS, ExperimentConfig
+from spingate.noise import NOISE_MODES
+from spingate.simulator import PLACEMENTS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 
@@ -23,7 +25,16 @@ def test_every_digested_config_builds_at_both_master_seeds(monkeypatch, tmp_path
     spec.loader.exec_module(tool)
     runs = tool.configs()
     assert len(tool.MASTER_SEEDS) * len(runs) == 24
+    built = []
     for seed in tool.MASTER_SEEDS:
         for name, fields in runs.items():
             cfg = ExperimentConfig(master_seed=seed, output_dir=str(tmp_path / name), **fields)
             assert cfg.master_seed == seed
+            built.append(cfg)
+    # the matrix cannot lose a route: every experiment kind, damping
+    # placement and noise mode runs in it
+    assert {cfg.kind for cfg in built} == set(EXPERIMENT_KINDS)
+    assert ({cfg.damping_placement for cfg in built if cfg.kind == "damping-sweep"}
+            == set(PLACEMENTS))
+    assert ({cfg.noise_mode for cfg in built if cfg.kind == "coherent-noise-sweep"}
+            == set(NOISE_MODES))
