@@ -42,6 +42,10 @@ complex 8x8 environment of the layer and feeds the sweep that.
 COST_CHUNK_ROWS rows per broadcast call, and the density gradient row by
 row (stacked 64x64 rows run slower); `gradient` is its one-row case, so
 every row's gradient equals the single-vector gradient bit for bit.
+Optimizers ask for gradients where they have just costed, so the last
+cost call's forward passes (at most COST_CHUNK_ROWS rows) are kept as
+the evaluator's one record: a gradient chunk whose rows all match
+recorded rows bit for bit reads it, sweeping the recorded rows.
 Neither counts towards eval_count, which counts cost evaluations only.
 """
 
@@ -90,6 +94,7 @@ class CostEvaluator:
             if self.plan.circuit != self.circuit:
                 raise DimMismatch("the noise plan is built on another circuit")
             self._prepare_density_fastpath()
+        self._record = (np.empty((0, self.circuit.q)), [])
 
     def _prepare_density_fastpath(self):
         """Kraus stack, Hermitian-basis gather and readout of the density mode.
@@ -126,20 +131,26 @@ class CostEvaluator:
         terms *= self._gather_weight
         return terms.sum(axis=0)
 
-    def _density_cost(self, theta: np.ndarray) -> float:
-        placement, kraus, m = self.plan.placement, self._kraus, self.circuit.m
+    def _density_forward(self, theta: np.ndarray) -> tuple:
+        """One wrapped vector's factors, prefixes, powers [I, ..., L^m] (final-only),
+        unit steps (step(L^m), step(L) or the S_j) and running[k] = steps[k] ... steps[0]."""
+        placement, m = self.plan.placement, self.circuit.m
         gs, fwd = layer_products(self.circuit, theta[None])
-        if placement == "final-only":
-            units, repeat = [layer_powers(fwd[-1], m + 1)[-1]], 1
-        elif placement == "after-each-layer":
-            units, repeat = fwd[-1:], m
-        else:
-            units, repeat = gs, m
+        powers = layer_powers(fwd[-1], m + 1) if placement == "final-only" else None
+        units = powers[-1:] if powers else fwd[-1:] if placement == "after-each-layer" else gs
         # one unit at a time: a (Q, d^2, d^2) stack of gate steps ran 2.5x slower
-        step = self._real_superop(kraus @ units[0])
-        for u in units[1:]:
-            step = self._real_superop(kraus @ u) @ step
-        p = np.vdot(self._readout, np.linalg.matrix_power(step, repeat))
+        steps = [self._real_superop(self._kraus @ u) for u in units]
+        running = [steps[0]]
+        for s in steps[1:]:
+            running.append(s @ running[-1])
+        return gs, fwd, powers, steps, running
+
+    def _density_cost(self, theta: np.ndarray) -> float:
+        """Density cost of one wrapped vector, whose forward pass becomes the record."""
+        forward = self._density_forward(theta)
+        self._record = (theta[None], [forward])
+        repeat = 1 if self.plan.placement == "final-only" else self.circuit.m
+        p = np.vdot(self._readout, np.linalg.matrix_power(forward[-1][-1], repeat))
         return 1.0 - float(min(max(p, 0.0), 1.0))
 
     def _check(self, theta: np.ndarray, ndim: int = 1) -> np.ndarray:
@@ -170,15 +181,38 @@ class CostEvaluator:
         grows by B either way.
         """
         thetas = self._check(thetas, ndim=2)
-        if self.mode != "exact-trace":
-            return np.array([self.cost(row) for row in thetas], dtype=float)
+        if self.mode != "exact-trace":  # row by row; the call's last rows make the record
+            values, rows, forwards = [], thetas[:0], []
+            for row in thetas:
+                values.append(self.cost(row))
+                rows = np.concatenate([rows[1 - COST_CHUNK_ROWS:], self._record[0]])
+                forwards = forwards[1 - COST_CHUNK_ROWS:] + self._record[1]
+            self._record = (rows, forwards)
+            return np.array(values, dtype=float)
         self.eval_count += len(thetas)
         return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)))
 
     def _exact_costs(self, thetas: np.ndarray) -> float | np.ndarray:
         """Exact-trace costs of a wrapped (B, Q) stack; one value if the layer stays d x d."""
-        layer = layer_products(self.circuit, thetas)[1][-1]
-        return 1.0 - hs_overlap(layer_powers(layer, self.circuit.m + 1)[-1], self.target.matrix)
+        forward = self._forward(thetas)
+        self._record = (thetas, forward)
+        return 1.0 - hs_overlap(forward[2][-1], self.target.matrix)
+
+    def _forward(self, thetas: np.ndarray):
+        """A wrapped chunk's `layer_products` and powers [I, ..., L^m], or its `_density_forward`s."""
+        if self.mode == "hs-test-density":
+            return [self._density_forward(row) for row in thetas]
+        gs, fwd = layer_products(self.circuit, thetas)
+        return gs, fwd, layer_powers(fwd[-1], self.circuit.m + 1)
+
+    def _recall(self, thetas: np.ndarray) -> tuple:
+        """The record and each row's index in it, if every row's bits are recorded; else afresh."""
+        rows, forward = self._record
+        known = {row.tobytes(): i for i, row in enumerate(rows)}
+        index = [known.get(row.tobytes()) for row in thetas]
+        if None in index:
+            return self._forward(thetas), list(range(len(thetas)))
+        return forward, index
 
     def fidelity(self, theta: np.ndarray) -> float:
         return 1.0 - self.cost(theta)
@@ -195,7 +229,8 @@ class CostEvaluator:
         """Adjoint gradients of a (B, Q) stack, row r equal to gradient(thetas[r]) bit for bit.
 
         The noiseless modes run the adjoint sweep on COST_CHUNK_ROWS rows
-        per broadcast call; the density mode answers row by row.
+        per broadcast call; the density mode answers row by row.  Both read
+        the record of the last cost call where it holds the rows (`_recall`).
         """
         thetas = self._check(thetas, ndim=2)
         if self.mode == "hs-test-density":
@@ -215,7 +250,7 @@ class CostEvaluator:
         return grad
 
     def _gradient_adjoint(self, thetas: np.ndarray) -> np.ndarray:
-        """Analytic gradients of a wrapped (B, Q) stack from one sweep over the shared layer.
+        """Analytic gradients of a wrapped chunk from one sweep over the shared layer.
 
         With T = Tr(V^dag U), U = L^m and every layer sharing theta,
         dT/dtheta_j = Tr(M dL/dtheta_j) with the environment
@@ -223,11 +258,11 @@ class CostEvaluator:
         dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).
         """
         d = self._dim
-        gs, fwd = layer_products(self.circuit, thetas)
-        powers = layer_powers(fwd[-1], self.circuit.m)
-        t_val = np.trace(self._v_dag @ fwd[-1] @ powers[-1], axis1=-2, axis2=-1)
-        dt = _layer_sweep(self.circuit, gs, fwd, _depth_environment(powers, self._v_dag))
-        return -(2.0 / (d * d)) * (np.conj(t_val)[..., None] * dt).real
+        (gs, fwd, powers), index = self._recall(thetas)  # powers up to L^m
+        t_val = np.trace(self._v_dag @ fwd[-1] @ powers[-2], axis1=-2, axis2=-1)
+        dt = _layer_sweep(self.circuit, gs, fwd, _depth_environment(powers[:-1], self._v_dag))
+        grad = -(2.0 / (d * d)) * (np.conj(t_val)[..., None] * dt).real
+        return grad if grad.ndim == 1 else grad[index]
 
     def _step_environment(self, u: np.ndarray, env: np.ndarray) -> np.ndarray:
         """Complex 8x8 G with <env, d step(u)> = Re Tr(G du), step(u) = _real_superop(A u).
@@ -250,7 +285,7 @@ class CostEvaluator:
         return w.reshape(-1, d).T @ kraus.reshape(-1, d)
 
     def _density_gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Exact gradient of the density cost for one wrapped vector.
+        """Exact gradient of the density cost for one wrapped vector, from its forward record.
 
         p = <R, T> with R the readout and T the circuit's real
         superoperator; dC = -dp (the clip of p to [0, 1] is not
@@ -264,24 +299,18 @@ class CostEvaluator:
           gate j sees (S_(Q-1) ... S_(j+1))^T E (S_(j-1) ... S_0)^T, and
           dG_j/dtheta_j = -i P_j G_j.
         """
-        circuit, kraus, m = self.circuit, self._kraus, self.circuit.m
-        gs, fwd = layer_products(circuit, theta[None])
-        layer = fwd[-1]
-        placement = self.plan.placement
+        forward, index = self._recall(theta[None])
+        gs, fwd, powers, steps, running = forward[index[0]]
+        circuit, m, placement = self.circuit, self.circuit.m, self.plan.placement
         if placement == "final-only":
-            powers = layer_powers(layer, m)
-            g = self._step_environment(layer @ powers[-1], self._readout)
-            return -_layer_sweep(circuit, gs, fwd, _depth_environment(powers, g)).real
+            g = self._step_environment(powers[-1], self._readout)
+            return -_layer_sweep(circuit, gs, fwd, _depth_environment(powers[:-1], g)).real
         if placement == "after-each-layer":
-            step = self._real_superop(kraus @ layer)
-            env = _depth_environment(layer_powers(step.T, m), self._readout)
-            g = self._step_environment(layer, env)
+            env = _depth_environment(layer_powers(steps[0].T, m), self._readout)
+            g = self._step_environment(fwd[-1], env)
             return -_layer_sweep(circuit, gs, fwd, g).real
-        steps = [self._real_superop(kraus @ g) for g in gs]
-        before = [np.eye(len(steps[0]))]  # before[j] = S_(j-1) ... S_0
-        for s in steps[:-1]:
-            before.append(s @ before[-1])
-        after = _depth_environment(layer_powers((steps[-1] @ before[-1]).T, m), self._readout)
+        before = [np.eye(len(steps[0]))] + running[:-1]  # before[j] = S_(j-1) ... S_0
+        after = _depth_environment(layer_powers(running[-1].T, m), self._readout)
         paulis = circuit.spec.matrices()
         grad = np.empty(circuit.q)
         for j in reversed(range(circuit.q)):

@@ -1,6 +1,7 @@
 """Cost definition, route agreement, and gradients."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,115 @@ def _adjoint_gradient_one_vector(ev, theta):
         back[j] = back[j + 1] @ gs[j + 1]
     dt = -1j * np.einsum("jab,jbc,jca->j", circuit.spec.matrices(), fwd, back)
     return -(2.0 / (d * d)) * (np.conj(t_val) * dt).real
+
+
+def _gradient_requests(stack, rng):
+    """Gradient stacks an optimizer can send after costing `stack`.
+
+    The same rows, a reordered subset, a set with duplicates, and recorded
+    rows mixed with new ones.
+    """
+    rows = len(stack)
+    mixed = np.concatenate([stack[rng.permutation(rows)[:3]],
+                            rng.uniform(-np.pi, np.pi, size=(2, stack.shape[1]))])
+    return {"same": stack,
+            "subset": stack[rng.permutation(rows)[:max(1, rows - 2)]],
+            "duplicates": stack[rng.integers(0, rows, size=rows + 2)],
+            "mixed": mixed[rng.permutation(len(mixed))]}
+
+
+def _assert_gradients_after_costs_equal_fresh(make, stack, rng):
+    """Gradients read after costs(stack) equal a fresh evaluator's, byte for byte."""
+    recorded, fresh = make(), make()
+    recorded.costs(stack)
+    for kind, request in _gradient_requests(stack, rng).items():
+        assert recorded.gradients(request).tobytes() == fresh.gradients(request).tobytes(), kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(target_name=st.sampled_from(["toffoli", "fredkin"]),
+       m=st.sampled_from([1, 6]),
+       rows=st.integers(min_value=1, max_value=COST_CHUNK_ROWS + 3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       shared=st.sampled_from([[False] * 15, CHARGE_SHARED, NUCLEAR_SHARED, [True] * 15]))
+@example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS + 3, seed=1, shared=[False] * 15)
+@example(target_name="fredkin", m=6, rows=9, seed=2, shared=CHARGE_SHARED)
+@example(target_name="toffoli", m=6, rows=9, seed=3, shared=NUCLEAR_SHARED)
+@example(target_name="toffoli", m=1, rows=5, seed=4, shared=[True] * 15)
+def test_gradients_after_costs_equal_fresh_gradients_bitwise(target_name, m, rows, seed, shared):
+    # |angles| up to 30 exercise wrapping before rows are matched; the
+    # `shared` columns hold row 0's coordinates, as in a noise stack (all
+    # 15: all rows equal); more than COST_CHUNK_ROWS rows cross a chunk edge
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-30.0, 30.0, size=(rows, 15))
+    stack[:, shared] = stack[0, shared]
+    target = toffoli() if target_name == "toffoli" else fredkin()
+    circuit = build_hva(heisenberg_spec(3), m)
+    _assert_gradients_after_costs_equal_fresh(lambda: CostEvaluator(circuit, target), stack, rng)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@settings(max_examples=4, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=COST_CHUNK_ROWS + 3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(rows=COST_CHUNK_ROWS + 3, seed=1)
+def test_density_gradients_after_costs_equal_fresh_gradients_bitwise(placement, rows, seed):
+    circuit = build_hva(heisenberg_spec(3), 2)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.05), placement)
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-30.0, 30.0, size=(rows, 15))
+    _assert_gradients_after_costs_equal_fresh(
+        lambda: CostEvaluator(circuit, fredkin(), mode="hs-test-density", plan=plan), stack, rng)
+
+
+@pytest.mark.parametrize("mode", ["exact-trace", "hs-test-density"])
+def test_gradients_never_read_a_stale_record(spec3, rng, mode):
+    """Rows that only an earlier cost call evaluated, or other rows of the
+    same shape as the last call's, get a fresh evaluator's gradients."""
+    circuit = build_hva(spec3, 3)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.05), "after-each-gate")
+
+    def make():
+        return CostEvaluator(circuit, toffoli(), mode=mode, plan=plan)
+
+    ev, fresh = make(), make()
+    first, last, other = (rng.uniform(-np.pi, np.pi, size=(4, 15)) for _ in range(3))
+    ev.costs(first)
+    ev.costs(last)
+    for request in (first, other, first[:1]):
+        assert ev.gradients(request).tobytes() == fresh.gradients(request).tobytes()
+    ev.cost(last[0])  # a single cost call replaces the record with its one row
+    assert ev.gradients(last[1:]).tobytes() == fresh.gradients(last[1:]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["exact-trace", "hs-test-density"])
+def test_repeated_costs_hold_one_record(spec3, rng, mode):
+    """500 cost calls on one evaluator retain one forward record, not one per call.
+
+    Past the first call's record, retained memory grows by less than one
+    more record (numpy's own caches warm up over the first calls) and is
+    flat over the last 250 calls.
+    """
+    circuit = build_hva(spec3, 2)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01))
+    ev = CostEvaluator(circuit, toffoli(), mode=mode, plan=plan)
+    thetas = rng.uniform(-np.pi, np.pi, size=(501, 15))
+    ev.cost(thetas[0])  # builds the cached factor tables before tracing starts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ev.cost(thetas[1])
+        one_record = tracemalloc.get_traced_memory()[0] - base
+        for theta in thetas[2:251]:
+            ev.cost(theta)
+        middle = tracemalloc.get_traced_memory()[0] - base
+        for theta in thetas[251:]:
+            ev.cost(theta)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * one_record
+    assert held - middle < 1024
 
 
 @pytest.mark.parametrize("n", [2, 4])

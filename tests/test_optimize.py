@@ -535,3 +535,49 @@ def test_retrain_ends_no_higher_than_nelder_mead_to_its_own_stop():
     for start, trace in zip(starts, retrain(density, starts, OptimizerConfig()), strict=True):
         floor = nelder_mead_minimize(density.cost, start, simplex_cfg).final_cost
         assert trace.final_cost <= floor + 1e-6
+
+
+def _count_forward_passes(monkeypatch) -> dict:
+    """Count `layer_products` calls made inside and outside `CostEvaluator.gradients`."""
+    from spingate import cost
+
+    counts = {"cost": 0, "gradients": 0, "gradient calls": 0}
+    inside = []
+    layer_products, gradients = cost.layer_products, CostEvaluator.gradients
+
+    def counted(circuit, rows):
+        counts["gradients" if inside else "cost"] += 1
+        return layer_products(circuit, rows)
+
+    def marked(self, thetas):
+        counts["gradient calls"] += 1
+        inside.append(True)
+        try:
+            return gradients(self, thetas)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cost, "layer_products", counted)
+    monkeypatch.setattr(CostEvaluator, "gradients", marked)
+    return counts
+
+
+def test_multi_restart_gradients_reuse_the_cost_rounds_forward_pass(monkeypatch):
+    """Every gradient row was costed in its round, so gradients build no layer."""
+    counts = _count_forward_passes(monkeypatch)
+    ev = CostEvaluator(build_hva(heisenberg_spec(3), 2), toffoli())
+    multi_restart(ev, InitScheme(seed=3), OptimizerConfig(restarts=3, max_iters=40))
+    assert counts["gradient calls"] > 0 and counts["cost"] > 0
+    assert counts["gradients"] == 0
+
+
+@pytest.mark.parametrize("placement", ["after-each-layer", "after-each-gate", "final-only"])
+def test_retrain_gradients_reuse_the_cost_rounds_forward_pass(monkeypatch, placement):
+    counts = _count_forward_passes(monkeypatch)
+    circuit = build_hva(heisenberg_spec(3), 2)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01), placement)
+    density = CostEvaluator(circuit, toffoli(), mode="hs-test-density", plan=plan)
+    starts = list(np.random.default_rng(5).uniform(-np.pi, np.pi, size=(3, 15)))
+    retrain(density, starts, OptimizerConfig())
+    assert counts["gradient calls"] > 0 and counts["cost"] > 0
+    assert counts["gradients"] == 0
