@@ -438,6 +438,45 @@ def test_repeated_costs_hold_one_record(spec3, rng, mode):
     assert held - middle < 1024
 
 
+def test_density_costs_record_their_last_row_only(spec3, rng):
+    """A stack of density rows retains one row's record (about 0.5 MB after
+    each gate at m = 6: 15 unit steps of 64x64), not one per row."""
+    circuit = build_hva(spec3, 6)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01), "after-each-gate")
+    ev = CostEvaluator(circuit, toffoli(), mode="hs-test-density", plan=plan)
+    ev.cost(rng.uniform(-np.pi, np.pi, size=15))
+    tracemalloc.start()
+    try:
+        ev.cost(rng.uniform(-np.pi, np.pi, size=15))
+        one_row = tracemalloc.get_traced_memory()[0]
+        ev.costs(rng.uniform(-np.pi, np.pi, size=(COST_CHUNK_ROWS, 15)))
+        stack = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stack < 1.5 * one_row
+
+
+@pytest.mark.parametrize("mode", ["exact-trace", "hs-test-density"])
+def test_a_cost_call_drops_the_old_record_before_building_the_new(spec3, rng, mode):
+    """The old and the new record are never alive at once: a cost call's
+    peak stays well under one record above the memory it started with."""
+    circuit = build_hva(spec3, 6)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01), "after-each-gate")
+    ev = CostEvaluator(circuit, toffoli(), mode=mode, plan=plan)
+    rows = COST_CHUNK_ROWS if mode == "exact-trace" else 1  # the largest record of each mode
+    ev.costs(rng.uniform(-np.pi, np.pi, size=(rows, 15)))
+    tracemalloc.start()
+    try:
+        ev.costs(rng.uniform(-np.pi, np.pi, size=(rows, 15)))
+        record = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ev.costs(rng.uniform(-np.pi, np.pi, size=(rows, 15)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - record < record / 2
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("rows", [1, 3, 17])
 def test_layer_sweep_over_nonzeros_equals_dense_einsum(n, rows):

