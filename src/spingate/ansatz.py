@@ -18,6 +18,7 @@ theta relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -117,7 +118,17 @@ def _varying_columns(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero((bits != bits[0]).any(axis=0))
 
 
-def layer_products(circuit: AnsatzCircuit, rows: np.ndarray) -> tuple[list, list]:
+def layer_head(circuit: AnsatzCircuit, rows: np.ndarray) -> tuple[list, list, list]:
+    """A (B, Q) stack's varying columns (none for one row), the other columns' d x d
+    factors from row 0 and the d x d prefixes before the first varying column."""
+    varying = _varying_columns(rows).tolist() if len(rows) != 1 else []
+    shared = [j for j in range(circuit.q) if j not in varying]
+    factors = list(_factors(circuit.spec, rows[0].take(shared), tuple(shared))) if shared else []
+    lead = factors[:varying[0]] if varying else factors
+    return varying, factors, list(accumulate(lead, lambda f, g: g @ f))
+
+
+def layer_products(circuit: AnsatzCircuit, rows: np.ndarray, head: tuple = ()) -> tuple[list, list]:
     """Factors G_j and prefixes F_j = G_j ... G_0 of one layer for a (B, Q) stack.
 
     The one forward pass behind every layer, cost and gradient: two lists
@@ -128,17 +139,17 @@ def layer_products(circuit: AnsatzCircuit, rows: np.ndarray) -> tuple[list, list
     stack of per-row factors.  The prefixes stay d x d up to the first
     varying factor, and a (d, d) @ (B, d, d) product runs the same
     per-matrix multiplication as an unstacked one, so each row's slice
-    equals its single-row result bit for bit.
+    equals its single-row result bit for bit, whether the pass starts from
+    the rows' own `layer_head` or from `head`, that of a stack holding them.
     """
-    varying = _varying_columns(rows).tolist() if len(rows) != 1 else []
-    shared = [j for j in range(circuit.q) if j not in varying]
-    factors = list(_factors(circuit.spec, rows[0].take(shared), tuple(shared))) if shared else []
-    if varying:
+    varying, factors, prefixes = head or layer_head(circuit, rows)
+    if varying:  # on copies: a head shared by several chunks stays as built
         own = _factors(circuit.spec, rows.take(varying, axis=1), tuple(varying))
+        factors = factors.copy()
         for i, j in enumerate(varying):  # ascending, so each lands at index j
             factors.insert(j, own[:, i])
-    prefixes = [factors[0]]
-    for g in factors[1:]:  # F_j = G_j @ F_(j-1), multiplied left onto the first factor
+        prefixes = prefixes.copy() or factors[:1]
+    for g in factors[len(prefixes):]:  # F_j = G_j @ F_(j-1), multiplied left onto the first factor
         prefixes.append(g @ prefixes[-1])
     return factors, prefixes
 

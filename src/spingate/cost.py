@@ -27,7 +27,8 @@ A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
 `costs` evaluates a stack of vectors; in exact-trace mode it powers the
 layer of `layer_products` over chunks of rows, and `cost` is its one-row
 case (one-row and all-equal chunks stay d x d and give one value), so
-every row's cost equals the single-vector cost bit for bit.
+every row's cost equals the single-vector cost bit for bit, also when a
+stack of several chunks builds its `layer_head` once for all of them.
 
 Every mode has two gradients: a central finite difference (2Q cost calls)
 and an adjoint-style sweep over `ansatz.layer_products` (the layer's
@@ -46,7 +47,7 @@ Optimizers ask for gradients where they have just costed, so the
 evaluator keeps one record, the forward pass of its last cost kernel
 call: an exact-trace chunk (at most COST_CHUNK_ROWS rows) or one density
 row.  A gradient chunk whose rows all match recorded rows bit for bit
-reads it, sweeping the recorded rows.
+reads it and sweeps the recorded rows; another builds powers to L^(m-1).
 Neither counts towards eval_count, which counts cost evaluations only.
 """
 
@@ -58,7 +59,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, layer_powers, layer_products
+from .ansatz import AnsatzCircuit, layer_head, layer_powers, layer_products
 from .errors import DimMismatch, LengthMismatch, NumericalFailure
 from .hamiltonian import wrap_angles
 from .linalg import hs_overlap
@@ -70,7 +71,7 @@ MODES = ("exact-trace", "hs-test-statevector", "hs-test-density")
 CENTRAL_DIFF_STEP = 1e-6
 # rows per stacked exact-trace evaluation: bounds the (rows, Q, d, d)
 # factor stacks that `costs` and `gradients` hold at once.  32 rows ran
-# no faster on the sampled noise sweep and raised its peak memory.
+# the sampled noise sweep a few percent faster but raised its peak memory.
 COST_CHUNK_ROWS = 16
 
 
@@ -90,7 +91,6 @@ class CostEvaluator:
         if self.target.n != self.circuit.n:
             raise DimMismatch("target and circuit act on different qubit counts")
         self._v_dag = self.target.matrix.conj().T
-        self._dim = 2 ** self.circuit.n
         if self.mode == "hs-test-density":
             if self.plan is None:
                 raise ValueError("hs-test-density mode needs a noise plan")
@@ -176,41 +176,42 @@ class CostEvaluator:
     def costs(self, thetas: np.ndarray) -> np.ndarray:
         """Costs of a (B, Q) stack, row r equal to cost(thetas[r]) bit for bit.
 
-        Exact-trace mode evaluates COST_CHUNK_ROWS rows per broadcast
-        kernel call; the other modes call `cost` row by row.  eval_count
-        grows by B either way.
+        Exact-trace mode evaluates COST_CHUNK_ROWS rows per broadcast kernel
+        call from one `layer_head` of the stack (one chunk builds its own);
+        the other modes call `cost` row by row.  eval_count grows by B.
         """
         thetas = self._check(thetas, ndim=2)
         if self.mode != "exact-trace":
             return np.array([self.cost(row) for row in thetas], dtype=float)
         self.eval_count += len(thetas)
-        return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)))
+        head = layer_head(self.circuit, thetas) if len(thetas) > COST_CHUNK_ROWS else ()
+        return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)), head)
 
-    def _exact_costs(self, thetas: np.ndarray) -> float | np.ndarray:
+    def _exact_costs(self, thetas: np.ndarray, head: tuple = ()) -> float | np.ndarray:
         """Exact-trace costs of a wrapped (B, Q) stack; one value if the layer stays d x d."""
-        powers = self._remember(thetas)[2]
+        powers = self._remember(thetas, head)[2]
         return 1.0 - hs_overlap(powers[-1], self.target.matrix)
 
-    def _remember(self, thetas: np.ndarray):
-        """A wrapped chunk's `_forward`, the new record; the old one is dropped first."""
+    def _remember(self, thetas: np.ndarray, head: tuple = ()):
+        """A wrapped chunk's `_forward` up to L^m, the new record; the old one is dropped first."""
         self._record = ((), [])
-        self._record = (thetas, self._forward(thetas))
+        self._record = (thetas, self._forward(thetas, self.circuit.m + 1, head))
         return self._record[1]
 
-    def _forward(self, thetas: np.ndarray):
-        """A wrapped chunk's `layer_products` and powers [I, ..., L^m], or its `_density_forward`s."""
+    def _forward(self, thetas: np.ndarray, depth: int, head: tuple = ()):
+        """A chunk's `layer_products` and powers [I, ..., L^(depth-1)], or `_density_forward`s."""
         if self.mode == "hs-test-density":
             return [self._density_forward(row) for row in thetas]
-        gs, fwd = layer_products(self.circuit, thetas)
-        return gs, fwd, layer_powers(fwd[-1], self.circuit.m + 1)
+        gs, fwd = layer_products(self.circuit, thetas, head)
+        return gs, fwd, layer_powers(fwd[-1], depth)
 
     def _recall(self, thetas: np.ndarray) -> tuple:
-        """The record and each row's index in it, if every row's bits are recorded; else afresh."""
+        """The record and each row's index in it if it holds every row's bits; else (afresh, None)."""
         rows, forward = self._record
         known = {row.tobytes(): i for i, row in enumerate(rows)}
         index = [known.get(row.tobytes()) for row in thetas]
         if None in index:
-            return self._forward(thetas), list(range(len(thetas)))
+            return self._forward(thetas, self.circuit.m), None
         return forward, index
 
     def fidelity(self, theta: np.ndarray) -> float:
@@ -256,12 +257,12 @@ class CostEvaluator:
         M = sum_l L^l V^dag L^(m-1-l) (`_layer_sweep`).  Then
         dC/dtheta_j = -(2/d^2) Re(conj(T) dT/dtheta_j).
         """
-        d = self._dim
-        (gs, fwd, powers), index = self._recall(thetas)  # powers up to L^m
-        t_val = np.trace(self._v_dag @ fwd[-1] @ powers[-2], axis1=-2, axis2=-1)
-        dt = _layer_sweep(self.circuit, gs, fwd, _depth_environment(powers[:-1], self._v_dag))
+        d, m = len(self._v_dag), self.circuit.m
+        (gs, fwd, powers), index = self._recall(thetas)  # powers up to L^m or L^(m-1)
+        t_val = np.trace(self._v_dag @ fwd[-1] @ powers[m - 1], axis1=-2, axis2=-1)
+        dt = _layer_sweep(self.circuit, gs, fwd, _depth_environment(powers[:m], self._v_dag))
         grad = -(2.0 / (d * d)) * (np.conj(t_val)[..., None] * dt).real
-        return grad if grad.ndim == 1 else grad[index]
+        return grad if index is None or grad.ndim == 1 else grad[index]
 
     def _step_environment(self, u: np.ndarray, env: np.ndarray) -> np.ndarray:
         """Complex 8x8 G with <env, d step(u)> = Re Tr(G du), step(u) = _real_superop(A u).
@@ -298,8 +299,7 @@ class CostEvaluator:
           gate j sees (S_(Q-1) ... S_(j+1))^T E (S_(j-1) ... S_0)^T, and
           dG_j/dtheta_j = -i P_j G_j.
         """
-        forward, index = self._recall(theta[None])
-        gs, fwd, powers, steps = forward[index[0]]
+        gs, fwd, powers, steps = self._recall(theta[None])[0][0]  # a density record is one row
         circuit, m, placement = self.circuit, self.circuit.m, self.plan.placement
         if placement == "final-only":
             g = self._step_environment(powers[-1], self._readout)
@@ -320,11 +320,11 @@ class CostEvaluator:
         return grad
 
 
-def _in_chunks(kernel, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out[r] with kernel's row r, COST_CHUNK_ROWS rows per kernel call."""
+def _in_chunks(kernel, thetas: np.ndarray, out: np.ndarray, *args) -> np.ndarray:
+    """Fill out[r] with kernel's row r, COST_CHUNK_ROWS rows per kernel(rows, *args) call."""
     for start in range(0, len(thetas), COST_CHUNK_ROWS):
         rows = slice(start, start + COST_CHUNK_ROWS)
-        out[rows] = kernel(thetas[rows])
+        out[rows] = kernel(thetas[rows], *args)
     return out
 
 

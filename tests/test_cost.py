@@ -13,6 +13,7 @@ from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_sweep
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger, hs_overlap
+from spingate.noise import CoherentNoise, _shifted_stack
 from spingate.simulator import (PLACEMENTS, KrausChannel, NoisyCircuitPlan,
                                 amplitude_damping, bell_prep_state,
                                 evolve_density, readout_vector)
@@ -251,31 +252,63 @@ NUCLEAR_SHARED = [j not in (2, 5, 8) for j in range(15)]
        rows=st.integers(min_value=1, max_value=40),
        scale=st.sampled_from([1.0, np.pi, 30.0]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
-       shared=st.lists(st.booleans(), min_size=15, max_size=15))
+       shared=st.lists(st.booleans(), min_size=15, max_size=15),
+       tail_shift=st.sampled_from([0.0, 0.5]))
 @example(target_name="toffoli", m=6, rows=COST_CHUNK_ROWS, scale=30.0, seed=1,
-         shared=[False] * 15)
+         shared=[False] * 15, tail_shift=0.0)
 @example(target_name="fredkin", m=6, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2,
-         shared=[False] * 15)
+         shared=[False] * 15, tail_shift=0.0)
 @example(target_name="fredkin", m=5, rows=2 * COST_CHUNK_ROWS + 3, scale=np.pi, seed=1,
-         shared=CHARGE_SHARED)
+         shared=CHARGE_SHARED, tail_shift=0.0)
 @example(target_name="fredkin", m=5, rows=2 * COST_CHUNK_ROWS + 3, scale=np.pi, seed=3,
-         shared=NUCLEAR_SHARED)
+         shared=NUCLEAR_SHARED, tail_shift=0.0)
 @example(target_name="toffoli", m=12, rows=COST_CHUNK_ROWS + 1, scale=30.0, seed=2,
-         shared=[True] * 15)
-def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, seed, shared):
+         shared=[True] * 15, tail_shift=0.0)
+@example(target_name="fredkin", m=5, rows=2 * COST_CHUNK_ROWS + 3, scale=np.pi, seed=4,
+         shared=[True] * 15, tail_shift=0.5)
+def test_stacked_costs_equal_single_costs_bitwise(target_name, m, rows, scale, seed, shared,
+                                                  tail_shift):
     # rows up to 40 cross the chunk edges; |angles| up to 30 exercise
     # wrapping; every row holds row 0's coordinates in the `shared`
     # columns, as a noise stack does in the terms it does not shift (all
-    # 15: all rows equal)
+    # 15: all rows equal).  A tail shift moves those columns in the rows
+    # past the first chunk, so they vary in the stack but not in its first
+    # chunk (all 15 shared: the first chunk is all-equal), and the chunks
+    # share the stack's `layer_head`, not their own
     ev = _stack_evaluator(target_name, m)
     stack = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, 15))
     stack[:, shared] = stack[0, shared]
+    stack[COST_CHUNK_ROWS:, shared] += tail_shift
     single = np.array([ev.cost(row) for row in stack])
     assert ev.costs(stack).tobytes() == single.tobytes()
     # every row also equals the public circuit-unitary route, byte for byte
     public = np.array([1.0 - hs_overlap(circuit_unitary(ev.circuit, wrap_angles(row)),
                                         ev.target.matrix) for row in stack])
     assert public.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["charge", "nuclear"])
+def test_a_noise_stack_builds_its_shared_factors_once(monkeypatch, kind):
+    """One 300-row `costs` call builds the unshifted terms' factors once for
+    the stack, and the shifted terms' factors once per chunk."""
+    from spingate import ansatz
+
+    ev = _stack_evaluator("fredkin", 5)
+    spec, noise = ev.circuit.spec, CoherentNoise(kind, 0.05, "uniform-sample", seed=3)
+    shifted = tuple(noise.affected_indices(spec))
+    stack = _shifted_stack(np.linspace(-3.0, 3.0, 15), noise, spec, 300)
+    built, factors = [], ansatz._factors
+
+    def counted(spec, angles, terms):
+        built.append(terms)
+        return factors(spec, angles, terms)
+
+    monkeypatch.setattr(ansatz, "_factors", counted)
+    ev.costs(stack)
+    chunks = -(-len(stack) // COST_CHUNK_ROWS)
+    unshifted = tuple(j for j in range(15) if j not in shifted)
+    assert built.count(unshifted) == 1 and built.count(shifted) == chunks
+    assert len(built) == chunks + 1
 
 
 @settings(max_examples=60, deadline=None)

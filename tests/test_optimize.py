@@ -545,9 +545,9 @@ def _count_forward_passes(monkeypatch) -> dict:
     inside = []
     layer_products, gradients = cost.layer_products, CostEvaluator.gradients
 
-    def counted(circuit, rows):
+    def counted(circuit, rows, *args):
         counts["gradients" if inside else "cost"] += 1
-        return layer_products(circuit, rows)
+        return layer_products(circuit, rows, *args)
 
     def marked(self, thetas):
         counts["gradient calls"] += 1

@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from spingate.cost import COST_CHUNK_ROWS
 from spingate.harness import EXPERIMENT_KINDS, ExperimentConfig
 from spingate.noise import NOISE_MODES
 from spingate.simulator import PLACEMENTS
@@ -38,3 +39,7 @@ def test_every_digested_config_builds_at_both_master_seeds(monkeypatch, tmp_path
             == set(PLACEMENTS))
     assert ({cfg.noise_mode for cfg in built if cfg.kind == "coherent-noise-sweep"}
             == set(NOISE_MODES))
+    # and a sampled noise stack spans several cost chunks, so the stack's
+    # shared `layer_head` is digested too
+    assert any(cfg.noise_samples > COST_CHUNK_ROWS for cfg in built
+               if cfg.kind == "coherent-noise-sweep" and cfg.noise_mode == "uniform-sample")
