@@ -62,7 +62,6 @@ import numpy as np
 from .ansatz import AnsatzCircuit, layer_head, layer_powers, layer_products
 from .errors import DimMismatch, LengthMismatch, NumericalFailure
 from .hamiltonian import wrap_angles
-from .linalg import hs_overlap
 from .simulator import NoisyCircuitPlan, hs_test_probability
 from .targets import TargetGate
 
@@ -188,9 +187,15 @@ class CostEvaluator:
         return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)), head)
 
     def _exact_costs(self, thetas: np.ndarray, head: tuple = ()) -> float | np.ndarray:
-        """Exact-trace costs of a wrapped (B, Q) stack; one value if the layer stays d x d."""
-        powers = self._remember(thetas, head)[2]
-        return 1.0 - hs_overlap(powers[-1], self.target.matrix)
+        """Exact-trace costs of a wrapped (B, Q) stack; one value if the layer stays d x d.
+
+        1 - |Tr(V^dag U)|^2 / d^2 from the cached V^dag, the overlap clipped
+        to [0, 1] as `linalg.hs_overlap` clips it.
+        """
+        t = np.trace(self._v_dag @ self._remember(thetas, head)[2][-1], axis1=-2, axis2=-1)
+        overlap = (t.real * t.real + t.imag * t.imag) / len(self._v_dag) ** 2
+        return 1.0 - (np.clip(overlap, 0.0, 1.0) if overlap.ndim
+                      else float(min(max(overlap, 0.0), 1.0)))
 
     def _remember(self, thetas: np.ndarray, head: tuple = ()):
         """A wrapped chunk's `_forward` up to L^m, the new record; the old one is dropped first."""

@@ -418,13 +418,14 @@ def _training_csv(summary: RestartSummary) -> str:
 
 
 def _trajectory_csv(summary: RestartSummary, labels: list[str]) -> str:
-    lines = ["restart,iteration,param_index,label,value\n"]
-    cells = [f"{j},{lab}," for j, lab in enumerate(labels)]
+    # a row's Q lines are one %-template (values by %r, % in labels escaped)
+    cells = [f"{j},{lab},".replace("%", "%%") for j, lab in enumerate(labels)]
+    blocks = ["restart,iteration,param_index,label,value\n"]
     for trace in summary.traces:
-        for it, theta in enumerate(trace.theta_history.tolist()):
-            head = f"{trace.restart_index},{it},"
-            lines.extend(f"{head}{cell}{v!r}\n" for cell, v in zip(cells, theta))
-    return "".join(lines)
+        heads = [f"{trace.restart_index},{it}," for it in range(len(trace.theta_history))]
+        blocks.append("".join((head + ("%r\n" + head).join(cells) + "%r\n") % tuple(theta)
+                              for head, theta in zip(heads, trace.theta_history.tolist())))
+    return "".join(blocks)
 
 
 def _evaluator(cfg: ExperimentConfig, m: int) -> CostEvaluator:

@@ -23,8 +23,9 @@ requests and is sent each answer back; its return value is the
 OptimizationTrace.  There are three kinds of request:
 
 * ("cost", x): the cost at x, a float;
-* ("grad", x): the gradient at x;
-* ("direction", (g, hist)): L-BFGS's d = -H g from its curvature pairs.
+* ("grad", x): the gradient g at x, answered as (g, max|g|);
+* ("direction", (g, hist)): L-BFGS's d = -H g from its curvature pairs,
+  answered as (d, g.d).
 
 One loop, `_lockstep`, runs every generator: it advances a set of them
 in rounds and answers each round's requests with one call of a stacked
@@ -233,8 +234,8 @@ def _finite(kind: str, values, indices: list[int]):
     NumericalFailure naming the first restart whose value is not finite.
     """
     values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values.reshape(len(indices), -1)).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values.reshape(len(indices), -1)).all(axis=1)
         raise NumericalFailure(f"restart {indices[np.argmin(finite)]}: the {kind} is not finite")
     return values.tolist() if kind == "cost" else values
 
@@ -299,34 +300,40 @@ def _lockstep(steps: dict, costs, gradients) -> dict[int, OptimizationTrace]:
     `costs` on the stacked vectors, then every pending gradient request
     with one call of `gradients`, then every pending direction request
     with one `_directions` call; a generator whose cost is answered may
-    ask for its gradient and then its direction in the same round.
+    ask for its gradient and then its direction in the same round.  Batches
+    follow the order of `steps`; a gradient reply is (g, max|g|) and a
+    direction reply (d, g.d), each from one reduction over the batch.
     Returns the traces by index.
     """
-    active: dict[int, tuple] = {}  # restart index -> (generator, its request)
+    pending = {"cost": [], "grad": [], "direction": []}  # kind -> [(position, index, gen, x)]
     traces: dict[int, OptimizationTrace] = {}
 
-    def advance(index, gen, reply):
+    def advance(position, index, gen, reply):
         try:
-            active[index] = (gen, gen.send(reply))
+            kind, x = gen.send(reply)
         except StopIteration as done:
-            del active[index]
             traces[index] = done.value
+        else:
+            pending[kind].append((position, index, gen, x))
 
-    for index, gen in steps.items():
-        advance(index, gen, None)
-    while active:
-        for kind in ("cost", "grad", "direction"):
-            asking = [(index, gen, x) for index, (gen, (k, x)) in active.items() if k == kind]
+    for position, (index, gen) in enumerate(steps.items()):
+        advance(position, index, gen, None)
+    while any(pending.values()):
+        for kind, asking in pending.items():
             if not asking:
                 continue
-            requests = [x for _, _, x in asking]
+            pending[kind] = []
+            asking.sort()  # by position: one request per generator
+            requests = [x for *_, x in asking]
             if kind == "direction":
-                values = _directions(requests)
+                d = np.asarray(_directions(requests))  # np.vecdot runs np.dot's kernel per row
+                replies = zip(d, np.vecdot(np.array([g for g, _ in requests]), d))
             else:
                 batch = costs if kind == "cost" else gradients
-                values = _finite(kind, batch(np.array(requests)), [index for index, _, _ in asking])
-            for (index, gen, _), value in zip(asking, values):
-                advance(index, gen, value)
+                values = _finite(kind, batch(np.array(requests)), [i for _, i, _, _ in asking])
+                replies = values if kind == "cost" else zip(values, np.abs(values).max(axis=1))
+            for (position, index, gen, _), reply in zip(asking, replies):
+                advance(position, index, gen, reply)
     return traces
 
 
@@ -364,18 +371,18 @@ def lbfgs_minimize(fun, grad, x0: np.ndarray, cfg: OptimizerConfig,
 def _lbfgs_steps(x0, cfg, restart_index, rng, stall_rtol=STALL_RTOL):
     """lbfgs_minimize as an ask/tell generator (see the module docstring).
 
+    Gradient replies carry max|g| and direction replies g.d (`_lockstep`).
     `stall_rtol` replaces STALL_RTOL in the stall test.
     """
     rec = _Recorder()
     x = wrap_angles(np.asarray(x0, dtype=float))
     f = yield "cost", x
-    g = yield "grad", x
+    g, g_max = yield "grad", x
     n_evals = 1
     hist = deque(maxlen=cfg.history_size)  # curvature pairs (s, y, 1 / s.y), oldest first
     best_x, best_f = x, f
     descent_start = 0
     escaped = False
-    g_max = np.max(np.abs(g))
     rec.add(f, g_max, x)
 
     def done(reason):
@@ -399,14 +406,13 @@ def _lbfgs_steps(x0, cfg, restart_index, rng, stall_rtol=STALL_RTOL):
         if stalled:
             x = wrap_angles(best_x + rng.normal(0.0, KICK_SIGMA, best_x.size))
             f = yield "cost", x
-            g = yield "grad", x
+            g, g_max = yield "grad", x
             n_evals += 1
             hist.clear()
             escaped = True
             descent_start = row + 1
         else:
-            d = yield "direction", (g, hist)
-            slope = np.dot(g, d)
+            d, slope = yield "direction", (g, hist)
             if slope >= 0.0:
                 # not a descent direction; drop history and fall back to steepest descent
                 hist.clear()
@@ -416,7 +422,7 @@ def _lbfgs_steps(x0, cfg, restart_index, rng, stall_rtol=STALL_RTOL):
             alpha = 1.0
             f_new = None
             for _ in range(MAX_HALVINGS):
-                f_try = yield "cost", x + alpha * d
+                f_try = yield "cost", (x_try := x + alpha * d)
                 n_evals += 1
                 if f_try <= f + ARMIJO_C1 * alpha * slope:
                     f_new = f_try
@@ -427,14 +433,13 @@ def _lbfgs_steps(x0, cfg, restart_index, rng, stall_rtol=STALL_RTOL):
             # the curvature pair uses the step taken, not the difference of
             # wrapped iterates, which jumps by 2*pi across the seam
             s = alpha * d
-            x = wrap_angles(x + s)
-            g_new = yield "grad", x
+            x = wrap_angles(x_try)
+            g_new, g_max = yield "grad", x
             y = g_new - g
             sy = np.dot(s, y)
             if sy > CURVATURE_EPS:
                 hist.append((s, y, 1.0 / sy))
             f, g = f_new, g_new
-        g_max = np.max(np.abs(g))
         rec.add(f, g_max, x)
         if f < best_f:
             best_x, best_f = x, f

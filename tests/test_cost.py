@@ -17,7 +17,7 @@ from spingate.noise import CoherentNoise, _shifted_stack
 from spingate.simulator import (PLACEMENTS, KrausChannel, NoisyCircuitPlan,
                                 amplitude_damping, bell_prep_state,
                                 evolve_density, readout_vector)
-from spingate.targets import fredkin, toffoli
+from spingate.targets import TargetGate, fredkin, toffoli
 
 
 def make_eval(spec3, m=2, mode="exact-trace", target=None, plan=None):
@@ -591,3 +591,29 @@ def test_gradient_rejects_non_finite_parameters(spec3, method, bad):
     theta[3] = bad
     with pytest.raises(NumericalFailure):
         ev.gradient(theta, method=method)
+
+
+def test_exact_costs_read_out_the_public_overlap_bitwise():
+    """Exact-trace `cost` and `costs` give 1 - hs_overlap(circuit_unitary(c, theta), V) bit
+    for bit, clip included: the target is the circuit at theta0, whose overlap with
+    itself rounds above 1."""
+    circuit = build_hva(heisenberg_spec(3), 6)
+    theta0 = np.random.default_rng(3).uniform(-np.pi, np.pi, 15)
+    target = TargetGate("circuit-at-theta0", circuit_unitary(circuit, theta0))
+    t = np.trace(dagger(target.matrix) @ circuit_unitary(circuit, theta0))
+    assert (t.real * t.real + t.imag * t.imag) / 64 > 1.0  # so the clip runs
+    ev = CostEvaluator(circuit, target)
+
+    def public(theta):
+        return 1.0 - hs_overlap(circuit_unitary(circuit, wrap_angles(theta)), target.matrix)
+
+    assert ev.cost(theta0) == public(theta0) == 0.0
+    spread = np.random.default_rng(4).uniform(-np.pi, np.pi, (10, 15))
+    spread[3] = theta0
+    noise = CoherentNoise("charge", 0.05, "uniform-sample", seed=3)
+    charge = _shifted_stack(theta0, noise, circuit.spec, 40)  # three chunks, one layer_head
+    charge[7] = theta0
+    for stack in (spread, np.tile(theta0, (10, 1)), charge):
+        expected = np.array([public(row) for row in stack])
+        assert ev.costs(stack).tobytes() == expected.tobytes()
+        assert np.array([ev.cost(row) for row in stack]).tobytes() == expected.tobytes()

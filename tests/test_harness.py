@@ -24,7 +24,8 @@ from spingate.harness import (_SCHEMA, DEFAULT_MASTER_SEED, EXPERIMENT_KINDS,
                               run_experiment, run_grad_stats,
                               run_trotter_sweep)
 from spingate.noise import NOISE_KINDS, NOISE_MODES
-from spingate.optimize import MAX_COUNT, InitScheme, OptimizerConfig
+from spingate.optimize import (MAX_COUNT, InitScheme, OptimizationTrace, OptimizerConfig,
+                               RestartSummary)
 from spingate.simulator import PLACEMENTS
 
 
@@ -754,3 +755,38 @@ def test_run_compile_repeat_is_bit_identical(tmp_path):
         d.pop("run_dir")
         return d
     assert masked(dir_a / "run_record.json") == masked(dir_b / "run_record.json")
+
+
+def _trajectory_line_by_line(summary, labels):
+    """The trajectory table one f-string per line: the formatter's oracle."""
+    lines = ["restart,iteration,param_index,label,value\n"]
+    for trace in summary.traces:
+        for it, theta in enumerate(trace.theta_history.tolist()):
+            for j, (label, value) in enumerate(zip(labels, theta, strict=True)):
+                lines.append(f"{trace.restart_index},{it},{j},{label},{value!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("labels", [
+    list(heisenberg_spec(3).labels),
+    list(heisenberg_spec(4).labels),
+    ["%r", "a%sb", "%%", "50%", "%(x)s"],  # % must not act as a template field
+], ids=["3-qubit", "4-qubit", "percent"])
+def test_trajectory_csv_equals_line_by_line_formatting(labels):
+    """Every row and value of every restart, in order, as the line-by-line formatter writes them."""
+    specials = [-0.0, 5e-324, 1e-05, 1.5e16, 0.1 + 0.2]
+    rng = np.random.default_rng(0)
+    traces = []
+    for restart, rows in ((0, 3), (4, 1), (2, 5)):  # restart indices out of order
+        history = rng.normal(size=(rows, len(labels)))
+        history.flat[:len(specials)] = specials
+        history[-1] = np.resize(specials[::-1], len(labels))
+        traces.append(OptimizationTrace(
+            restart_index=restart, algorithm="lbfgs", costs=np.zeros(rows),
+            metric=np.zeros(rows), elapsed_ms=np.zeros(rows), theta_history=history,
+            final_theta=history[-1], final_cost=0.0, converged=False,
+            stop_reason="stalled", n_evals=rows))
+    summary = RestartSummary(traces=traces, best_index=0, seeds=[[0, i] for i in range(3)])
+    table = harness._trajectory_csv(summary, labels)
+    assert table == _trajectory_line_by_line(summary, labels)
+    assert table.count("\n") == 1 + 9 * len(labels)

@@ -584,3 +584,24 @@ def test_retrain_gradients_reuse_the_cost_rounds_forward_pass(monkeypatch, place
     retrain(density, starts, OptimizerConfig())
     assert counts["gradient calls"] > 0 and counts["cost"] > 0
     assert counts["gradients"] == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 16),
+       q=st.sampled_from([9, 15, 21]),
+       exponents=st.lists(st.floats(-8.0, 2.0), min_size=32, max_size=32),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=1, q=15, exponents=[-8.0] * 32, seed=0)
+@example(rows=16, q=21, exponents=[2.0] * 32, seed=1)
+def test_batched_reply_values_equal_per_row_values_bitwise(rows, q, exponents, seed):
+    """A gradient reply's max|g| and a direction reply's g.d come from one
+    reduction over the batch; each row equals its own one-vector value."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** np.array(exponents)[:, None]
+    g = rng.normal(size=(rows, q)) * scale[:rows]
+    d = rng.normal(size=(rows, q)) * scale[-rows:]
+    g[rng.random(g.shape) < 0.1] = -0.0
+    maxima, slopes = np.abs(g).max(axis=1), np.vecdot(g, d)
+    for r in range(rows):
+        assert maxima[r].tobytes() == np.max(np.abs(g[r])).tobytes()
+        assert slopes[r].tobytes() == np.dot(g[r], d[r]).tobytes()

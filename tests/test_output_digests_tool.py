@@ -13,6 +13,7 @@ from pathlib import Path
 from spingate.cost import COST_CHUNK_ROWS
 from spingate.harness import EXPERIMENT_KINDS, ExperimentConfig
 from spingate.noise import NOISE_MODES
+from spingate.optimize import STACKED_DIRECTION_ROWS
 from spingate.simulator import PLACEMENTS
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
@@ -43,3 +44,11 @@ def test_every_digested_config_builds_at_both_master_seeds(monkeypatch, tmp_path
     # shared `layer_head` is digested too
     assert any(cfg.noise_samples > COST_CHUNK_ROWS for cfg in built
                if cfg.kind == "coherent-noise-sweep" and cfg.noise_mode == "uniform-sample")
+    # L-BFGS runs both below STACKED_DIRECTION_ROWS direction requests per
+    # round (a damping re-training's polish, one request per start) and at
+    # or above it (a compile's restarts), so both `_directions` paths, and
+    # the slopes batched with them, are digested
+    assert any(cfg.kind == "damping-sweep" and cfg.damping_restarts < STACKED_DIRECTION_ROWS
+               for cfg in built)
+    assert any(cfg.kind == "compile" and cfg.optimizer.algorithm == "lbfgs"
+               and cfg.optimizer.restarts >= STACKED_DIRECTION_ROWS for cfg in built)
