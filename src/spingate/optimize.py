@@ -65,8 +65,18 @@ STALL_WINDOW = 5
 STALL_RTOL = 1e-2
 # standard deviation of the Gaussian kick that escapes a stall
 KICK_SIGMA = 0.5
-# Nelder-Mead iterations a re-training runs before its L-BFGS polish
-RETRAIN_SIMPLEX_ITERS = 150
+# Nelder-Mead iterations a re-training runs before its L-BFGS polish.
+# tools/retrain_budget.py compares each start with its own result at 150
+# (the former value): warm starts at Toffoli m = 6 and Fredkin m = 5, the
+# default grid, 20 per point, master seeds 10, 7, 3 and 5 (800 per
+# placement).  At 50, after each layer 1 start ends more than 1e-4 above
+# and 4 below, final-only 4 above and 3 below, after each gate 15 and 15;
+# no grid point's mean fidelity drops by more than 0.006, 800 cold starts
+# rise by 0.0007 in mean cost, and at seeds 11 and 12 none ends above or
+# below.  After each layer the 800 ask for 126,552 density costs, not
+# 240,161.  The phase stays because it is an escape: the polish alone,
+# from the warm start, ends 13 of 100 Toffoli starts higher, by up to 0.20.
+RETRAIN_SIMPLEX_ITERS = 50
 
 DEFAULT_MAX_ITERS = {"lbfgs": 200, "nelder-mead": 2000}
 # most restarts, re-trainings or samples one run may ask for: every

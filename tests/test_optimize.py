@@ -1,6 +1,7 @@
 """Optimizer behaviour on textbook objectives plus restart plumbing."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -535,6 +536,26 @@ def test_retrain_ends_no_higher_than_nelder_mead_to_its_own_stop():
     for start, trace in zip(starts, retrain(density, starts, OptimizerConfig()), strict=True):
         floor = nelder_mead_minimize(density.cost, start, simplex_cfg).final_cost
         assert trace.final_cost <= floor + 1e-6
+
+
+def test_retrain_polishes_from_the_simplex_phase_best_vertex():
+    """A re-training is RETRAIN_SIMPLEX_ITERS simplex iterations chained into
+    the polish: the polish starts at that run's best vertex, bit for bit, and
+    the two phases ask for every density cost the re-training made."""
+    cfg = ExperimentConfig(kind="damping-sweep", m=(2,), damping_restarts=1)
+    noiseless = CostEvaluator(build_hva(heisenberg_spec(3), 2), toffoli())
+    theta_star = multi_restart(noiseless, cfg.init, cfg.optimizer).best.final_theta
+    plan = NoisyCircuitPlan(noiseless.circuit, amplitude_damping(0.01), "after-each-layer")
+    density, probe = (CostEvaluator(noiseless.circuit, toffoli(), mode="hs-test-density",
+                                    plan=plan) for _ in range(2))
+    (start,) = _damping_inits(cfg, theta_star, 2, 15)
+    (polish,) = retrain(density, [start], cfg.optimizer)
+    simplex = nelder_mead_minimize(probe.cost, start, replace(
+        cfg.optimizer, algorithm="nelder-mead", max_iters=optimize.RETRAIN_SIMPLEX_ITERS))
+    assert simplex.iterations == optimize.RETRAIN_SIMPLEX_ITERS
+    assert polish.algorithm == "lbfgs"
+    assert polish.theta_history[0].tobytes() == simplex.final_theta.tobytes()
+    assert density.eval_count == simplex.n_evals + polish.n_evals
 
 
 def _count_forward_passes(monkeypatch) -> dict:
