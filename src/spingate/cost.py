@@ -27,8 +27,8 @@ A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
 `costs` evaluates a stack of vectors; in exact-trace mode it powers the
 layer of `layer_products` over chunks of rows, and `cost` is its one-row
 case (one-row and all-equal chunks stay d x d and give one value), so
-every row's cost equals the single-vector cost bit for bit, also when a
-stack of several chunks builds its `layer_head` once for all of them.
+every row's cost equals the single-vector cost bit for bit, and each
+stack builds its `layer_head` once for all of its chunks.
 
 Every mode has two gradients: a central finite difference (2Q cost calls)
 and an adjoint-style sweep over `ansatz.layer_products` (the layer's
@@ -176,14 +176,14 @@ class CostEvaluator:
         """Costs of a (B, Q) stack, row r equal to cost(thetas[r]) bit for bit.
 
         Exact-trace mode evaluates COST_CHUNK_ROWS rows per broadcast kernel
-        call from one `layer_head` of the stack (one chunk builds its own);
-        the other modes call `cost` row by row.  eval_count grows by B.
+        call from one `layer_head` of the whole stack; the other modes call
+        `cost` row by row.  eval_count grows by B.
         """
         thetas = self._check(thetas, ndim=2)
         if self.mode != "exact-trace":
             return np.array([self.cost(row) for row in thetas], dtype=float)
         self.eval_count += len(thetas)
-        head = layer_head(self.circuit, thetas) if len(thetas) > COST_CHUNK_ROWS else ()
+        head = layer_head(self.circuit, thetas)
         return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)), head)
 
     def _exact_costs(self, thetas: np.ndarray, head: tuple = ()) -> float | np.ndarray:

@@ -10,7 +10,7 @@ Two independent routes to the same overlap quantity:
 
 Registers: the circuit acts on qubits 1..n (register A); the overlap test
 adds a mirror register B on qubits n+1..2n.  Channels act only inside the
-compiled circuit, on register-A qubits.
+compiled circuit, each on every register-A qubit.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-        # 4x4 action on the (row, col) index pair of one qubit: the map
-        # rho -> sum_k E_k rho E_k^dag becomes a single matrix product.
-        s4 = sum(np.kron(k, k.conj()) for k in ops)
-        s4.setflags(write=False)
-        object.__setattr__(self, "superop4", s4)
 
 
 def amplitude_damping(p: float) -> KrausChannel:
@@ -64,39 +59,28 @@ def amplitude_damping(p: float) -> KrausChannel:
 
 @dataclass(frozen=True)
 class NoisyCircuitPlan:
-    """A circuit plus where/on which qubits a channel fires during it."""
+    """A circuit plus when a single-qubit channel fires on each of its qubits 1..n."""
 
     circuit: AnsatzCircuit
     channel: KrausChannel
     placement: str = "after-each-layer"
-    target_qubits: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}")
-        qubits = self.target_qubits
-        if qubits is None:
-            qubits = tuple(range(1, self.circuit.n + 1))
-        else:
-            qubits = tuple(int(q) for q in qubits)
-            if any(q < 1 or q > self.circuit.n for q in qubits):
-                raise DimMismatch("channel qubits must lie inside the circuit register")
-        object.__setattr__(self, "target_qubits", qubits)
 
     def register_kraus(self) -> np.ndarray:
-        """(K, 2^n, 2^n) Kraus operators of the channel on the whole register.
+        """(K^n, 2^n, 2^n) Kraus operators of the channel on the whole register.
 
-        Each is a Kronecker product over qubits 1..n (qubit 1 leading) of
-        one channel operator on each target qubit and the identity on the
-        others, so K = len(channel.operators) ** len(target_qubits).
+        The n-fold Kronecker power of the channel's K operators: row k is
+        E[k_1] (x) ... (x) E[k_n], with (k_1 ... k_n) the base-K digits of
+        k, qubit 1 leading.
         """
         chan = np.stack(self.channel.operators)
-        eye = np.eye(2, dtype=complex)[None]
         ops = np.ones((1, 1, 1), dtype=complex)
-        for q in range(1, self.circuit.n + 1):
+        for _ in range(self.circuit.n):
             size = 2 * ops.shape[-1]
-            factor = chan if q in self.target_qubits else eye
-            ops = np.einsum("kab,jcd->kjacbd", ops, factor).reshape(-1, size, size)
+            ops = np.einsum("kab,jcd->kjacbd", ops, chan).reshape(-1, size, size)
         return ops
 
 
@@ -112,22 +96,19 @@ def _unitary_on_front(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.moveaxis(t, 3, 2).reshape(rho.shape)
 
 
-def _channel_on_qubits(rho: np.ndarray, channel: KrausChannel,
-                       qubits: tuple[int, ...], n_reg: int) -> np.ndarray:
-    """Apply a 1-qubit Kraus channel independently to each listed qubit.
+def _channel_on_qubits(rho: np.ndarray, channel: KrausChannel, n: int) -> np.ndarray:
+    """Apply a 1-qubit Kraus channel independently to each of qubits 1..n.
 
-    The channel's 4x4 superoperator acts on the qubit's (row, col) axis
-    pair, so each application is one small matrix product.
+    Qubit q's step is rho -> sum_k E_k rho E_k^dag on its row and column
+    index, one einsum straight from the channel's operators E_k.  rho may
+    live on a larger register whose leading qubits are 1..n.
     """
-    s4 = channel.superop4
-    t = rho.reshape((2,) * (2 * n_reg))
-    for q in qubits:
-        axes = (q - 1, n_reg + q - 1)
-        moved = np.moveaxis(t, axes, (0, 1))
-        shape = moved.shape
-        flat = s4 @ moved.reshape(4, -1)
-        t = np.moveaxis(flat.reshape(shape), (0, 1), axes)
-    return t.reshape(rho.shape)
+    ops = np.stack(channel.operators)
+    for q in range(n):
+        split = (2 ** q, 2, len(rho) >> (q + 1))
+        t = np.einsum("kac,icjldm,kbd->iajlbm", ops, rho.reshape(split + split), ops.conj())
+        rho = t.reshape(rho.shape)
+    return rho
 
 
 def evolve_density(plan: NoisyCircuitPlan, theta: np.ndarray,
@@ -146,22 +127,21 @@ def evolve_density(plan: NoisyCircuitPlan, theta: np.ndarray,
     if n_reg < circuit.n:
         raise DimMismatch("register smaller than the circuit")
     chan = plan.channel
-    qubits = plan.target_qubits
     rho = rho0
     if plan.placement == "after-each-gate":
         gs = gate_matrices(circuit, theta)
         for _ in range(circuit.m):
             for g in gs:
                 rho = _unitary_on_front(rho, g)
-                rho = _channel_on_qubits(rho, chan, qubits, n_reg)
+                rho = _channel_on_qubits(rho, chan, circuit.n)
         return rho
     ul = layer_unitary(circuit, theta)
     for _ in range(circuit.m):
         rho = _unitary_on_front(rho, ul)
         if plan.placement == "after-each-layer":
-            rho = _channel_on_qubits(rho, chan, qubits, n_reg)
+            rho = _channel_on_qubits(rho, chan, circuit.n)
     if plan.placement == "final-only":
-        rho = _channel_on_qubits(rho, chan, qubits, n_reg)
+        rho = _channel_on_qubits(rho, chan, circuit.n)
     return rho
 
 

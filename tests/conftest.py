@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spingate.hamiltonian import heisenberg_spec
+from spingate.simulator import KrausChannel
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +15,13 @@ def rng():
     # fresh fixed-seed generator per test, so draw order inside one test
     # cannot leak into another
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def random_channel(rng):
+    """random_channel(k): k complex, non-Hermitian Kraus operators, the 2x2
+    blocks of a random 2k x 2 isometry (the QR of a complex Gaussian)."""
+    def make(k):
+        a = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+        return KrausChannel(f"random(k={k})", tuple(np.linalg.qr(a)[0].reshape(k, 2, 2)))
+    return make

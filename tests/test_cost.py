@@ -71,12 +71,13 @@ def depolarizing(p):
                          *(np.sqrt(p / 4) * s for s in paulis)))
 
 
-def test_density_fastpath_matches_literal_evolution(spec3, rng):
+def test_density_fastpath_matches_literal_evolution(spec3, rng, random_channel):
     """The superoperator shortcut must track the straight density route.
 
     Amplitude damping's superoperator is nearly diagonal and can hide a
-    basis or sign error that only shows once steps compose, so a
-    depolarizing channel and a partial qubit set are checked as well.
+    basis or sign error that only shows once steps compose, so depolarizing
+    and random channels (complex, non-Hermitian operators, 1 to 3 of
+    them) are checked as well.
     """
     u = bell_prep_state(3)
     rho0 = np.outer(u, u.conj())
@@ -84,18 +85,15 @@ def test_density_fastpath_matches_literal_evolution(spec3, rng):
         w = readout_vector(target)
         for m in (1, 2, 5):
             c = build_hva(spec3, m)
-            for p in (0.0, 0.08, 0.5):
-                for channel in (amplitude_damping(p), depolarizing(p)):
-                    for qubits in (None, (1, 3)):
-                        for placement in ("after-each-layer", "after-each-gate",
-                                          "final-only"):
-                            plan = NoisyCircuitPlan(c, channel, placement, qubits)
-                            ev = CostEvaluator(c, target, mode="hs-test-density",
-                                               plan=plan)
-                            theta = rng.normal(size=15)
-                            rho = evolve_density(plan, theta, rho0)
-                            literal = 1.0 - (w.conj() @ rho @ w).real
-                            assert abs(ev.cost(theta) - literal) < 1e-12
+            channels = [f(p) for p in (0.0, 0.08, 0.5) for f in (amplitude_damping, depolarizing)]
+            for channel in channels + [random_channel(k) for k in (1, 2, 3)]:
+                for placement in PLACEMENTS:
+                    plan = NoisyCircuitPlan(c, channel, placement)
+                    ev = CostEvaluator(c, target, mode="hs-test-density", plan=plan)
+                    theta = rng.normal(size=15)
+                    rho = evolve_density(plan, theta, rho0)
+                    literal = 1.0 - (w.conj() @ rho @ w).real
+                    assert abs(ev.cost(theta) - literal) < 1e-12
 
 
 def test_cost_periodicity(spec3, rng):
@@ -178,13 +176,13 @@ def test_gradient_checks(spec3, rng):
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
-def test_density_gradient_matches_central_diff(spec3, rng, placement):
+def test_density_gradient_matches_central_diff(spec3, rng, random_channel, placement):
     worst = 0.0
     for target in (toffoli(), fredkin()):
         for m in (1, 2, 6):
             c = build_hva(spec3, m)
-            for p in (0.0, 0.01, 0.3):
-                plan = NoisyCircuitPlan(c, amplitude_damping(p), placement)
+            for channel in [amplitude_damping(p) for p in (0.0, 0.01, 0.3)] + [random_channel(2)]:
+                plan = NoisyCircuitPlan(c, channel, placement)
                 ev = CostEvaluator(c, target, mode="hs-test-density", plan=plan)
                 theta = rng.normal(size=15)
                 gap = np.max(np.abs(ev.gradient(theta)
@@ -194,9 +192,10 @@ def test_density_gradient_matches_central_diff(spec3, rng, placement):
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
-def test_density_gradients_equal_single_gradients_bitwise(spec3, rng, placement):
+def test_density_gradients_equal_single_gradients_bitwise(spec3, rng, random_channel,
+                                                          placement):
     c = build_hva(spec3, 3)
-    plan = NoisyCircuitPlan(c, depolarizing(0.05), placement, (1, 3))
+    plan = NoisyCircuitPlan(c, random_channel(3), placement)
     ev = CostEvaluator(c, fredkin(), mode="hs-test-density", plan=plan)
     stack = rng.uniform(-30.0, 30.0, size=(4, 15))
     grads = ev.gradients(stack)

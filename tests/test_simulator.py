@@ -8,9 +8,9 @@ from spingate.errors import DimMismatch, OutOfRange
 from spingate.hamiltonian import heisenberg_spec
 from spingate.linalg import dagger, kron
 from spingate.simulator import (KrausChannel, NoisyCircuitPlan,
-                                amplitude_damping, bell_prep_state,
-                                evolve_density, hs_test_probability,
-                                readout_vector)
+                                _channel_on_qubits, amplitude_damping,
+                                bell_prep_state, evolve_density,
+                                hs_test_probability, readout_vector)
 from spingate.targets import toffoli
 
 
@@ -53,12 +53,29 @@ def test_kraus_channel_validation():
         KrausChannel("shape", (np.eye(4),))
 
 
-def test_superop4_agrees_with_kraus_sum(rng):
-    ch = amplitude_damping(0.2)
+def test_channel_step_agrees_with_kraus_sums(spec3, rng, random_channel):
+    """The oracle's per-qubit channel step is the Kraus sum on one qubit,
+    and on three it is the sum over the fast path's register operators."""
+    ch = random_channel(2)
     rho = random_density(rng, 2)
     direct = sum(k @ rho @ dagger(k) for k in ch.operators)
-    via_super = (ch.superop4 @ rho.reshape(4)).reshape(2, 2)
-    assert np.max(np.abs(direct - via_super)) < 1e-14
+    assert np.max(np.abs(_channel_on_qubits(rho, ch, 1) - direct)) < 1e-14
+    rho = random_density(rng, 8)
+    ops = NoisyCircuitPlan(build_hva(spec3, 1), ch).register_kraus()
+    direct = sum(a @ rho @ dagger(a) for a in ops)
+    assert np.max(np.abs(_channel_on_qubits(rho, ch, 3) - direct)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_register_kraus_order(random_channel, n):
+    """Row k is E[k_1] (x) ... (x) E[k_n], (k_1 ... k_n) the bits of k, qubit 1 leading."""
+    ch = random_channel(2)
+    ops = NoisyCircuitPlan(build_hva(heisenberg_spec(n), 1), ch).register_kraus()
+    assert ops.shape == (2 ** n, 2 ** n, 2 ** n)
+    for k, op in enumerate(ops):
+        digits = [(k >> (n - 1 - i)) & 1 for i in range(n)]
+        expect = kron(*(ch.operators[b] for b in digits))
+        assert np.max(np.abs(op - expect)) < 1e-15
 
 
 def test_bell_prep_state():
@@ -122,26 +139,10 @@ def test_evolve_density_placements_differ(spec3, rng):
     assert np.max(np.abs(outs["after-each-gate"] - outs["after-each-layer"])) > 1e-4
 
 
-def test_evolve_density_channel_qubit_subset(spec3, rng):
-    """Damping only qubit 3 must differ from damping all three."""
-    c = build_hva(spec3, 2)
-    theta = rng.normal(size=15)
-    rho = random_density(rng, 8)
-    all_q = evolve_density(NoisyCircuitPlan(c, amplitude_damping(0.2)), theta, rho)
-    one_q = evolve_density(
-        NoisyCircuitPlan(c, amplitude_damping(0.2), target_qubits=(3,)), theta, rho)
-    assert np.max(np.abs(all_q - one_q)) > 1e-4
-    assert abs(np.trace(one_q).real - 1.0) < 1e-12
-
-
 def test_noisy_plan_validation(spec3):
     c = build_hva(spec3, 1)
     with pytest.raises(ValueError):
         NoisyCircuitPlan(c, amplitude_damping(0.1), placement="sometimes")
-    with pytest.raises(DimMismatch):
-        NoisyCircuitPlan(c, amplitude_damping(0.1), target_qubits=(0,))
-    with pytest.raises(DimMismatch):
-        NoisyCircuitPlan(c, amplitude_damping(0.1), target_qubits=(4,))
 
 
 def test_evolve_density_register_checks(spec3):
