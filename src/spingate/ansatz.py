@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidDepth, LengthMismatch
+from .errors import DimMismatch, InvalidDepth, LengthMismatch, check_count
 from .hamiltonian import PAULI_1Q, HamiltonianSpec
 from .linalg import apply_to_qubits, kron
 
@@ -45,8 +45,7 @@ class AnsatzCircuit:
 
 def build_hva(spec: HamiltonianSpec, m: int) -> AnsatzCircuit:
     """Build the m-layer circuit for a Hamiltonian spec; m must be >= 1."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise InvalidDepth(f"layer count must be a positive integer, got {m!r}")
+    check_count("layer count", m, 1, error=InvalidDepth)
     return AnsatzCircuit(spec=spec, m=int(m))
 
 

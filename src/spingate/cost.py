@@ -304,7 +304,8 @@ class CostEvaluator:
           gate j sees (S_(Q-1) ... S_(j+1))^T E (S_(j-1) ... S_0)^T, and
           dG_j/dtheta_j = -i P_j G_j.
         """
-        gs, fwd, powers, steps = self._recall(theta[None])[0][0]  # a density record is one row
+        forward, index = self._recall(theta[None])
+        gs, fwd, powers, steps = forward[0 if index is None else index[0]]
         circuit, m, placement = self.circuit, self.circuit.m, self.plan.placement
         if placement == "final-only":
             g = self._step_environment(powers[-1], self._readout)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks of counts and amounts."""
+
+import math
+import numbers
 
 
 class SpingateError(Exception):
@@ -47,3 +50,19 @@ class ConfigError(SpingateError, ValueError):
 
 class NumericalFailure(SpingateError, RuntimeError):
     """A run produced non-finite numbers or failed a numeric validity check."""
+
+
+def check_count(name: str, value, low: int, high: int | None = None, error=ConfigError) -> None:
+    """Raise `error` unless value is an integer (a numpy one too, not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be at least {low}, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{name} must be at most {high}, got {value!r}")
+
+
+def check_amount(name: str, value, error=ConfigError) -> None:
+    """Raise `error` unless value is a finite real number >= 0 (a numpy one too, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise error(f"{name} must be finite and >= 0, got {value!r}")

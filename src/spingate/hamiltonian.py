@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidQubitCount, LengthMismatch
+from .errors import InvalidQubitCount, LengthMismatch, check_count
 from .linalg import kron
 
 PAULI_1Q = {
@@ -123,8 +123,7 @@ class HamiltonianSpec:
 
 def heisenberg_spec(n: int) -> HamiltonianSpec:
     """Fully anisotropic open-chain spec for n >= 2 sites; Q = 6n - 3 terms."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidQubitCount(f"chain needs at least 2 sites, got {n!r}")
+    check_count("chain length", n, 2, error=InvalidQubitCount)
     terms = []
     for site in range(n):
         for axis in "XYZ":

@@ -38,12 +38,12 @@ import numpy as np
 from . import __version__
 from .ansatz import build_hva
 from .cost import CostEvaluator
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NumericalFailure, check_amount, check_count
 from .hamiltonian import format_parameters, heisenberg_spec
 from .noise import (DEFAULT_DELTA_GRID, NOISE_KINDS, NOISE_MODES, check_delta_grid,
                     robustness_sweep)
-from .optimize import (MAX_COUNT, InitScheme, OptimizerConfig, RestartSummary, check_integer,
-                       multi_restart, retrain)
+from .optimize import (MAX_COUNT, InitScheme, OptimizerConfig, RestartSummary, multi_restart,
+                       retrain)
 from .seeding import derive_rng, derive_subseed
 from .simulator import PLACEMENTS, NoisyCircuitPlan, amplitude_damping
 from .targets import MAX_QUBITS, resolve_target  # noqa: F401 (MAX_QUBITS: one of the run limits)
@@ -98,14 +98,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not self.m:
+            raise ConfigError("depth list must not be empty")
         for v in self.m:
-            check_integer("m", v)
-        for name in ("master_seed", "noise_samples", "damping_restarts", "grad_samples"):
-            check_integer(name, getattr(self, name))
-        if not self.m or any(v < 1 for v in self.m):
-            raise ConfigError(f"depth list must be positive integers, got {self.m!r}")
-        if any(v > MAX_DEPTH for v in self.m):
-            raise ConfigError(f"depths must be at most {MAX_DEPTH}, got {self.m!r}")
+            check_count("m", v, 1, MAX_DEPTH)
+        check_count("master_seed", self.master_seed, 0)
+        for name in ("noise_samples", "damping_restarts", "grad_samples"):
+            check_count(name, getattr(self, name), 1, MAX_COUNT)
+        check_amount("warm_sigma", self.warm_sigma)
         for name in ("m", "noise_kinds", "damping_grid"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -120,16 +120,6 @@ class ExperimentConfig:
         for k in self.noise_kinds:
             if k not in NOISE_KINDS:
                 raise ConfigError(f"unknown noise kind {k!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
-        if self.noise_samples < 1 or self.grad_samples < 1 or self.damping_restarts < 1:
-            raise ConfigError("sample and restart counts must be positive")
-        for name in ("noise_samples", "grad_samples", "damping_restarts"):
-            if getattr(self, name) > MAX_COUNT:
-                raise ConfigError(f"{name.replace('_', ' ')} must be at most {MAX_COUNT}, "
-                                  f"got {getattr(self, name)!r}")
-        if not 0 <= self.warm_sigma < np.inf:
-            raise ConfigError(f"warm_sigma must be finite and >= 0, got {self.warm_sigma!r}")
         if not all(0 <= p <= 1 for p in self.damping_grid):
             raise ConfigError("damping grid values must lie in [0, 1]")
         if self.damping_placement not in PLACEMENTS:

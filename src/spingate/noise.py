@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostEvaluator
-from .errors import NegativeAmplitude
+from .errors import NegativeAmplitude, check_amount, check_count
 from .hamiltonian import HamiltonianSpec
 from .optimize import MAX_COUNT
 from .seeding import derive_rng, derive_subseed
@@ -49,8 +49,7 @@ class CoherentNoise:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if not np.isfinite(self.delta) or self.delta < 0.0:
-            raise NegativeAmplitude(f"noise amplitude must be >= 0, got {self.delta!r}")
+        check_amount("noise amplitude", self.delta, error=NegativeAmplitude)
 
     def affected_indices(self, spec: HamiltonianSpec) -> list[int]:
         if self.kind == "charge":
@@ -96,10 +95,9 @@ def perturb(theta: np.ndarray, noise: CoherentNoise, spec: HamiltonianSpec,
     Deterministic mode adds noise.delta; sampled mode adds one shared
     u ~ Uniform[0, delta], the realization-th draw of noise.seed's stream,
     so it equals row `realization` of a sweep's stack.  A realization
-    outside [0, MAX_COUNT) raises ValueError.
+    that is not an integer in [0, MAX_COUNT) raises ValueError.
     """
-    if not 0 <= realization < MAX_COUNT:
-        raise ValueError(f"realization must lie in [0, {MAX_COUNT}), got {realization!r}")
+    check_count("realization", realization, 0, MAX_COUNT - 1, error=ValueError)
     return _shifted_stack(theta, noise, spec, realization + 1)[realization]
 
 
@@ -113,10 +111,9 @@ def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
     sampled mode averages `samples` realizations with per-point derived
     seeds.  Each point's realizations are evaluated as one stack.  The
     grid must be non-negative and strictly ascending, and `samples` must
-    lie in [1, MAX_COUNT] in either mode.
+    be an integer in [1, MAX_COUNT] in either mode (ValueError otherwise).
     """
-    if not 1 <= samples <= MAX_COUNT:
-        raise ValueError(f"samples must lie in [1, {MAX_COUNT}], got {samples!r}")
+    check_count("samples", samples, 1, MAX_COUNT, error=ValueError)
     grid = check_delta_grid(delta_grid)
     spec = evaluator.circuit.spec
     rows = []

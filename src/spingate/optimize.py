@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NumericalFailure, check_amount, check_count
 from .hamiltonian import wrap_angles
 from .seeding import derive_rng
 
@@ -99,12 +99,6 @@ MAX_ITERS = 20_000
 STACKED_DIRECTION_ROWS = 3
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ConfigError unless value is an int or a numpy integer; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class InitScheme:
     """Gaussian initial parameters, clipped to a box.
@@ -123,8 +117,7 @@ class InitScheme:
         if not np.isfinite([self.mean, lo, hi]).all():
             raise ConfigError(f"init mean and clip must be finite, got {self.mean!r}, "
                               f"{self.clip!r}")
-        if not 0.0 <= self.sigma < np.inf:
-            raise ConfigError(f"init sigma must be finite and >= 0, got {self.sigma!r}")
+        check_amount("init sigma", self.sigma)
         if not lo <= hi:
             raise ConfigError(f"init clip interval is inverted: {self.clip!r}")
 
@@ -150,24 +143,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in DEFAULT_MAX_ITERS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        check_integer("restarts", self.restarts)
-        check_integer("history_size", self.history_size)
+        check_count("restarts", self.restarts, 1, MAX_COUNT)
+        check_count("history_size", self.history_size, 1, MAX_ITERS)
         if self.max_iters is not None:
-            check_integer("max_iters", self.max_iters)
-        if self.restarts < 1 or self.history_size < 1:
-            raise ConfigError("restarts and history_size must be at least 1")
-        if self.restarts > MAX_COUNT:
-            raise ConfigError(f"restarts must be at most {MAX_COUNT}, got {self.restarts!r}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters!r}")
-        for name in ("max_iters", "history_size"):
-            if (getattr(self, name) or 0) > MAX_ITERS:
-                raise ConfigError(f"{name} must be at most {MAX_ITERS}, "
-                                  f"got {getattr(self, name)!r}")
+            check_count("max_iters", self.max_iters, 1, MAX_ITERS)
         for name in ("cost_tolerance", "gradient_tolerance", "spread_tolerance"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, "
-                                  f"got {getattr(self, name)!r}")
+            check_amount(name, getattr(self, name))
         # a zero step gives a degenerate simplex that stops at once; the
         # parameters are angles of period 2*pi, so a step above pi means
         # nothing, and a huge one overflows the simplex moves

@@ -84,8 +84,9 @@ def load_target_matrix(path: str) -> TargetGate:
     """Read a gate from a text file: one row per line, entries as `re,im` pairs.
 
     The matrix must be square with power-of-2 size and unitary; the gate is
-    named after the file stem.  A row or a row count past 2^MAX_QUBITS is
-    rejected as soon as it is read, before the rest is parsed.
+    named after the file stem.  A row or a row count past 2^MAX_QUBITS, and
+    a row whose length differs from the first row's, is rejected as soon as
+    it is read, before the rest is parsed.
     """
     cap = 2 ** MAX_QUBITS
     rows = []
@@ -98,6 +99,8 @@ def load_target_matrix(path: str) -> TargetGate:
             if len(rows) == cap or len(tokens) > cap:
                 raise ValueError(f"{path} is larger than {cap}x{cap}: "
                                  f"targets act on at most {MAX_QUBITS} qubits")
+            if rows and len(tokens) != len(rows[0]):
+                raise ValueError(f"{path} has rows of {len(rows[0])} and {len(tokens)} entries")
             entries = []
             for tok in tokens:
                 re_s, _, im_s = tok.partition(",")
@@ -106,7 +109,7 @@ def load_target_matrix(path: str) -> TargetGate:
                 entries.append(complex(float(re_s), float(im_s)))
             rows.append(entries)
     m = np.array(rows, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or len({len(r) for r in rows}) != 1:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{path} is not a square matrix")
     name = os.path.splitext(os.path.basename(path))[0]
     return TargetGate(name, m)

@@ -314,7 +314,7 @@ def no_compile(monkeypatch):
 def test_depth_over_the_cap_exits_2_before_compiling(tmp_path, capsys, no_compile, command):
     out = tmp_path / "out"
     assert main([command, "--m", str(MAX_DEPTH + 1), "--out", str(out)]) == 2
-    assert f"depths must be at most {MAX_DEPTH}" in capsys.readouterr().err
+    assert f"m must be at most {MAX_DEPTH}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -399,7 +399,7 @@ def test_too_many_noise_samples_exit_2_before_compiling(tmp_path, capsys):
                          extra=f"mode = uniform-sample\nsamples = {MAX_COUNT + 1}\n")
     out = tmp_path / "out"
     assert main(["noise-sweep", "--config", str(ini), "--out", str(out)]) == 2
-    assert "noise samples" in capsys.readouterr().err
+    assert "noise_samples must be at most" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -488,6 +488,20 @@ def test_density_costs_record_their_last_row_only(spec3, rng):
     assert stack < 1.5 * one_row
 
 
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_density_gradient_reads_its_own_row_of_a_record(spec3, rng, placement):
+    """In a density record of two rows, row 1's gradient comes from row 1's
+    forward pass: it equals a fresh evaluator's gradient bit for bit."""
+    circuit = build_hva(spec3, 2)
+    plan = NoisyCircuitPlan(circuit, amplitude_damping(0.05), placement)
+    ev, fresh = (CostEvaluator(circuit, toffoli(), mode="hs-test-density", plan=plan)
+                 for _ in range(2))
+    rows = wrap_angles(rng.uniform(-np.pi, np.pi, size=(2, 15)))
+    ev._remember(rows)  # a record of two rows, as `costs` of one chunk would keep
+    assert ev._recall(rows[1:])[1] == [1]
+    assert ev.gradients(rows[1:]).tobytes() == fresh.gradients(rows[1:]).tobytes()
+
+
 @pytest.mark.parametrize("mode", ["exact-trace", "hs-test-density"])
 def test_a_cost_call_drops_the_old_record_before_building_the_new(spec3, rng, mode):
     """The old and the new record are never alive at once: a cost call's

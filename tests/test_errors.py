@@ -1,0 +1,87 @@
+"""Every count and amount input fails with its site's typed error, by one rule each."""
+
+import numpy as np
+import pytest
+
+from spingate.ansatz import build_hva
+from spingate.cost import CostEvaluator
+from spingate.errors import ConfigError, InvalidDepth, InvalidQubitCount, NegativeAmplitude
+from spingate.hamiltonian import heisenberg_spec
+from spingate.harness import MAX_DEPTH, ExperimentConfig
+from spingate.noise import CoherentNoise, perturb, robustness_sweep
+from spingate.optimize import MAX_COUNT, MAX_ITERS, InitScheme, OptimizerConfig
+from spingate.targets import toffoli
+
+SPEC = heisenberg_spec(3)
+SAMPLED = CoherentNoise(kind="charge", delta=0.1, mode="uniform-sample", seed=1)
+
+# name in the message: (call with the value, its error, a value out of range, the bound it breaks)
+COUNTS = {
+    "m": (lambda v: ExperimentConfig(m=(v,)), ConfigError, MAX_DEPTH + 1,
+          f"at most {MAX_DEPTH}"),
+    "master_seed": (lambda v: ExperimentConfig(master_seed=v), ConfigError, -1, "at least 0"),
+    "noise_samples": (lambda v: ExperimentConfig(noise_samples=v), ConfigError, MAX_COUNT + 1,
+                      f"at most {MAX_COUNT}"),
+    "damping_restarts": (lambda v: ExperimentConfig(damping_restarts=v), ConfigError, 0,
+                         "at least 1"),
+    "grad_samples": (lambda v: ExperimentConfig(grad_samples=v), ConfigError, 0, "at least 1"),
+    "restarts": (lambda v: OptimizerConfig(restarts=v), ConfigError, MAX_COUNT + 1,
+                 f"at most {MAX_COUNT}"),
+    "history_size": (lambda v: OptimizerConfig(history_size=v), ConfigError, 0, "at least 1"),
+    "max_iters": (lambda v: OptimizerConfig(max_iters=v), ConfigError, MAX_ITERS + 1,
+                  f"at most {MAX_ITERS}"),
+    "layer count": (lambda v: build_hva(SPEC, v), InvalidDepth, 0, "at least 1"),
+    "chain length": (heisenberg_spec, InvalidQubitCount, 1, "at least 2"),
+    "samples": (lambda v: robustness_sweep(CostEvaluator(build_hva(SPEC, 1), toffoli()),
+                                           np.zeros(15), "charge", [0.1],
+                                           mode="uniform-sample", samples=v),
+                ValueError, 0, "at least 1"),
+    "realization": (lambda v: perturb(np.zeros(15), SAMPLED, SPEC, realization=v), ValueError,
+                    MAX_COUNT, f"at most {MAX_COUNT - 1}"),
+}
+
+AMOUNTS = {
+    "warm_sigma": (lambda v: ExperimentConfig(warm_sigma=v), ConfigError),
+    "cost_tolerance": (lambda v: OptimizerConfig(cost_tolerance=v), ConfigError),
+    "gradient_tolerance": (lambda v: OptimizerConfig(gradient_tolerance=v), ConfigError),
+    "spread_tolerance": (lambda v: OptimizerConfig(spread_tolerance=v), ConfigError),
+    "init sigma": (lambda v: InitScheme(sigma=v), ConfigError),
+    "noise amplitude": (lambda v: CoherentNoise(kind="charge", delta=v), NegativeAmplitude),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "3"])
+@pytest.mark.parametrize("site", COUNTS)
+def test_a_count_takes_integers_only(site, value):
+    call, error, _, _ = COUNTS[site]
+    with pytest.raises(error, match=f"^{site} must be an integer, got {value!r}$") as info:
+        call(value)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_a_count_out_of_range_names_its_bound(site):
+    call, error, bad, bound = COUNTS[site]
+    with pytest.raises(error, match=f"^{site} must be {bound}, got {bad}$") as info:
+        call(bad)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_a_count_takes_numpy_integers(site):
+    COUNTS[site][0](np.int64(3))
+
+
+@pytest.mark.parametrize("value", [True, "3", -0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("site", AMOUNTS)
+def test_an_amount_is_a_finite_real_at_least_zero(site, value):
+    call, error = AMOUNTS[site]
+    with pytest.raises(error, match=f"^{site} must be finite and >= 0, got {value!r}$") as info:
+        call(value)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("value", [0, np.int64(2), np.float64(0.25), 1e300])
+@pytest.mark.parametrize("site", AMOUNTS)
+def test_an_amount_takes_any_finite_real_at_least_zero(site, value):
+    AMOUNTS[site][0](value)

@@ -114,7 +114,7 @@ class TestConfigValidation:
         assert ExperimentConfig(kind="compile", damping_grid=()).damping_grid == ()
 
     def test_zero_grad_samples(self):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match="grad_samples must be at least 1"):
             ExperimentConfig(grad_samples=0)
 
     def test_counts_held_at_once_are_capped(self):

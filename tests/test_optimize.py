@@ -127,6 +127,50 @@ def test_lbfgs_curvature_pair_ignores_wrap_seam():
     assert seam.stop_reason == inside.stop_reason == "cost-tolerance"
 
 
+def test_lbfgs_falls_back_to_steepest_descent_on_an_ascent_direction():
+    """A direction with g.d >= 0 is dropped: the next cost request is x - g."""
+    steps = optimize._lbfgs_steps(np.array([0.3, -0.2, 0.1]), OptimizerConfig(), 0, None)
+    kind, x = next(steps)
+    assert kind == "cost"
+    assert steps.send(1.0) == ("grad", x)
+    g = np.array([0.5, -0.25, 1.0])
+    kind, (g_asked, hist) = steps.send((g, np.abs(g).max()))
+    assert kind == "direction" and g_asked is g and not hist
+    kind, x_try = steps.send((g, np.dot(g, g)))  # an ascent direction, slope > 0
+    assert kind == "cost"
+    assert np.array_equal(x_try, x - g)
+    kind, x_new = steps.send(0.5)  # meets the Armijo test at alpha = 1
+    assert kind == "grad" and np.array_equal(x_new, x - g)
+
+
+def test_nelder_mead_shrinks_when_reflection_and_contraction_fail():
+    """Both trial points cost more than the worst vertex: every other vertex
+    moves halfway towards the best, best + (v - best) / 2, in rank order."""
+    cfg = OptimizerConfig(algorithm="nelder-mead", max_iters=1)
+    x0 = np.array([0.3, -0.2])
+    steps = optimize._nelder_mead_steps(x0, cfg, 0)
+    verts = [steps.send(None)[1]] + [steps.send(f)[1] for f in (2.0, 1.0)]
+    assert np.array_equal(verts[0], x0)
+    best, middle, worst = verts[1], verts[0], verts[2]  # costs 1, 2, 3
+    kind, xr = steps.send(3.0)
+    centroid = np.mean([best, middle], axis=0)
+    assert kind == "cost" and np.array_equal(xr, centroid + (centroid - worst))
+    kind, xc = steps.send(5.0)  # reflection fails: contract inside, towards the worst
+    assert kind == "cost" and np.array_equal(xc, centroid + 0.5 * (worst - centroid))
+    kind, shrunk = steps.send(5.0)  # contraction fails too: shrink
+    assert kind == "cost" and np.array_equal(shrunk, best + 0.5 * (middle - best))
+    kind, shrunk = steps.send(1.5)
+    assert kind == "cost" and np.array_equal(shrunk, best + 0.5 * (worst - best))
+    with pytest.raises(StopIteration) as done:
+        steps.send(2.5)
+    trace = done.value.value
+    assert trace.n_evals == 3 + 1 + 1 + 2
+    assert trace.iterations == 1
+    assert trace.costs.tolist() == [1.0, 1.0]
+    assert trace.metric.tolist() == [2.0, 1.5]
+    assert trace.stop_reason == "max-iterations"
+
+
 def flat_floor():
     """0.3 plus a quartic well: progress near the floor is too slow to matter."""
     def fun(x):

@@ -90,7 +90,7 @@ def test_load_target_matrix_roundtrip(tmp_path):
 def test_load_target_matrix_rejects_bad_files(tmp_path):
     p = tmp_path / "ragged.txt"
     p.write_text("1.0,0.0 0.0,0.0\n0.0,0.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has rows of 2 and 1 entries"):
         load_target_matrix(str(p))
     p2 = tmp_path / "notunitary.txt"
     p2.write_text("1.0,0.0 0.0,0.0\n0.0,0.0 2.0,0.0\n")
@@ -98,5 +98,13 @@ def test_load_target_matrix_rejects_bad_files(tmp_path):
         load_target_matrix(str(p2))
     p3 = tmp_path / "noim.txt"
     p3.write_text("1.0 0.0\n0.0 1.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad matrix entry '1.0'"):
         load_target_matrix(str(p3))
+    p4 = tmp_path / "wide.txt"
+    p4.write_text("1.0,0.0 0.0,0.0 0.0,0.0\n0.0,0.0 1.0,0.0 0.0,0.0\n")
+    with pytest.raises(ValueError, match="is not a square matrix"):
+        load_target_matrix(str(p4))
+    p5 = tmp_path / "empty.txt"
+    p5.write_text("# no rows\n")
+    with pytest.raises(ValueError, match="is not a square matrix"):
+        load_target_matrix(str(p5))
