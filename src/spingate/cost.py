@@ -24,25 +24,26 @@ any other plan raises DimMismatch, as `hs_test_probability` does.
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
 A parameter vector holding NaN or +-inf is rejected with NumericalFailure.
-`costs` evaluates a stack of vectors; in exact-trace mode it powers the
-layer of `layer_products` over chunks of rows, and `cost` is its one-row
-case (one-row and all-equal chunks stay d x d and give one value), so
-every row's cost equals the single-vector cost bit for bit, and each
-stack builds its `layer_head` once for all of its chunks.
+`costs` of a stack of vectors is the one cost entry of every mode, and
+`cost` is `costs` of one row, so every row's cost equals the
+single-vector cost bit for bit.  In exact-trace mode `costs` powers the
+layer of `layer_products` over chunks of rows (one-row and all-equal
+chunks stay d x d and give one value) from one `layer_head` per stack.
 
-Every mode has two gradients: a central finite difference (2Q cost calls)
-and an adjoint-style sweep over `ansatz.layer_products` (the layer's
-factors and prefixes) and O(m) `layer_powers`.  The sweep's traces
-Tr(P_j F_j B_j) sum over each Pauli string's nonzeros only, one per row
-(`HamiltonianSpec.nonzeros`), which adds the same terms in the same
-order as the sum over every entry.  The noiseless modes feed the
-sweep the environment of V^dag; the density mode reduces the
-real environment of its superoperators through the Kraus stack to a
-complex 8x8 environment of the layer and feeds the sweep that.
-`gradients` runs the noiseless sweep over a (B, Q) stack,
+Every mode has two gradients: a central finite difference (one `costs`
+call on the 2Q rows theta +- h e_j) and an adjoint-style sweep over
+`ansatz.layer_products` (the layer's factors and prefixes) and O(m)
+`layer_powers`.  The sweep's traces Tr(P_j F_j B_j) sum over each Pauli
+string's nonzeros only, one per row (`HamiltonianSpec.nonzeros`), which
+adds the same terms in the same order as the sum over every entry.  The
+noiseless modes feed the sweep the environment of V^dag; the density
+mode reduces the real environment of its superoperators through the
+Kraus stack to a complex 8x8 environment of the layer and feeds the
+sweep that.  `gradients` runs the noiseless sweep over a (B, Q) stack,
 COST_CHUNK_ROWS rows per broadcast call, and the density gradient row by
-row (stacked 64x64 rows run slower); `gradient` is its one-row case, so
-every row's gradient equals the single-vector gradient bit for bit.
+row (stacked 64x64 rows run slower); the adjoint `gradient` is its
+one-row case, so every row's gradient equals the single-vector gradient
+bit for bit.
 Optimizers ask for gradients where they have just costed, so the
 evaluator keeps one record, the forward pass of its last cost kernel
 call: an exact-trace chunk (at most COST_CHUNK_ROWS rows) or one density
@@ -152,41 +153,38 @@ class CostEvaluator:
         p = np.vdot(self._readout, np.linalg.matrix_power(total, repeat))
         return 1.0 - float(min(max(p, 0.0), 1.0))
 
-    def _check(self, theta: np.ndarray, ndim: int = 1) -> np.ndarray:
-        """Wrapped float copy of one vector (ndim 1) or a (B, Q) stack (ndim 2)."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim != ndim or theta.shape[-1] != self.circuit.q:
+    def _check(self, thetas: np.ndarray) -> np.ndarray:
+        """Wrapped float copy of a (B, Q) stack."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.circuit.q:
             raise LengthMismatch(
-                f"expected {self.circuit.q} parameters, got shape {theta.shape}")
-        if not np.isfinite(theta).all():
+                f"expected {self.circuit.q} parameters, got shape {thetas.shape}")
+        if not np.isfinite(thetas).all():
             raise NumericalFailure("parameter vector holds NaN or infinity")
-        return wrap_angles(theta)
+        return wrap_angles(thetas)
 
     def cost(self, theta: np.ndarray) -> float:
-        """Infidelity in [0, 1]; increments eval_count."""
-        theta = self._check(theta)
-        self.eval_count += 1
-        if self.mode == "exact-trace":
-            return self._exact_costs(theta[None])
-        if self.mode == "hs-test-statevector":
-            return 1.0 - hs_test_probability(self.circuit, theta, self.target)
-        return self._density_cost(theta)
+        """Infidelity in [0, 1], `costs` of one row; increments eval_count."""
+        return float(self.costs(np.asarray(theta, dtype=float)[None])[0])
 
     def costs(self, thetas: np.ndarray) -> np.ndarray:
         """Costs of a (B, Q) stack, row r equal to cost(thetas[r]) bit for bit.
 
         Exact-trace mode evaluates COST_CHUNK_ROWS rows per broadcast kernel
-        call from one `layer_head` of the whole stack; the other modes call
-        `cost` row by row.  eval_count grows by B.
+        call from one `layer_head` of the whole stack; the other modes
+        answer row by row.  eval_count grows by B.
         """
-        thetas = self._check(thetas, ndim=2)
-        if self.mode != "exact-trace":
-            return np.array([self.cost(row) for row in thetas], dtype=float)
+        thetas = self._check(thetas)
         self.eval_count += len(thetas)
+        if self.mode == "hs-test-statevector":
+            return np.array([1.0 - hs_test_probability(self.circuit, row, self.target)
+                             for row in thetas], dtype=float)
+        if self.mode == "hs-test-density":
+            return np.array([self._density_cost(row) for row in thetas], dtype=float)
         head = layer_head(self.circuit, thetas)
         return _in_chunks(self._exact_costs, thetas, np.empty(len(thetas)), head)
 
-    def _exact_costs(self, thetas: np.ndarray, head: tuple = ()) -> float | np.ndarray:
+    def _exact_costs(self, thetas: np.ndarray, head: tuple) -> np.ndarray:
         """Exact-trace costs of a wrapped (B, Q) stack; one value if the layer stays d x d.
 
         1 - |Tr(V^dag U)|^2 / d^2 from the cached V^dag, the overlap clipped
@@ -194,8 +192,7 @@ class CostEvaluator:
         """
         t = np.trace(self._v_dag @ self._remember(thetas, head)[2][-1], axis1=-2, axis2=-1)
         overlap = (t.real * t.real + t.imag * t.imag) / len(self._v_dag) ** 2
-        return 1.0 - (np.clip(overlap, 0.0, 1.0) if overlap.ndim
-                      else float(min(max(overlap, 0.0), 1.0)))
+        return 1.0 - np.clip(overlap, 0.0, 1.0)
 
     def _remember(self, thetas: np.ndarray, head: tuple = ()):
         """A wrapped chunk's `_forward` up to L^m, the new record; the old one is dropped first."""
@@ -223,12 +220,16 @@ class CostEvaluator:
         return 1.0 - self.cost(theta)
 
     def gradient(self, theta: np.ndarray, method: str = "adjoint") -> np.ndarray:
-        """dC/dtheta by the adjoint sweep or by central differences."""
-        if method == "central-diff":
-            return self._gradient_central(theta)
+        """dC/dtheta by the adjoint sweep (`gradients` of one row) or by central
+        differences, (C(theta + h e_j) - C(theta - h e_j)) / 2h from one `costs` call."""
+        theta = np.asarray(theta, dtype=float)[None]
         if method == "adjoint":
-            return self.gradients(self._check(theta)[None])[0]
-        raise ValueError(f"unknown gradient method {method!r}")
+            return self.gradients(theta)[0]
+        if method != "central-diff":
+            raise ValueError(f"unknown gradient method {method!r}")
+        shifts = CENTRAL_DIFF_STEP * np.eye(theta.shape[-1])
+        c = self.costs(np.concatenate([theta + shifts, theta - shifts]))
+        return (c[:len(shifts)] - c[len(shifts):]) / (2.0 * CENTRAL_DIFF_STEP)
 
     def gradients(self, thetas: np.ndarray) -> np.ndarray:
         """Adjoint gradients of a (B, Q) stack, row r equal to gradient(thetas[r]) bit for bit.
@@ -237,22 +238,10 @@ class CostEvaluator:
         per broadcast call; the density mode answers row by row.  Both read
         the record of the last cost kernel call where it holds the rows (`_recall`).
         """
-        thetas = self._check(thetas, ndim=2)
+        thetas = self._check(thetas)
         if self.mode == "hs-test-density":
             return np.array([self._density_gradient(row) for row in thetas]).reshape(thetas.shape)
         return _in_chunks(self._gradient_adjoint, thetas, np.empty(thetas.shape))
-
-    def _gradient_central(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        h = CENTRAL_DIFF_STEP
-        grad = np.empty(self.circuit.q)
-        for j in range(self.circuit.q):
-            up = theta.copy()
-            dn = theta.copy()
-            up[j] += h
-            dn[j] -= h
-            grad[j] = (self.cost(up) - self.cost(dn)) / (2.0 * h)
-        return grad
 
     def _gradient_adjoint(self, thetas: np.ndarray) -> np.ndarray:
         """Analytic gradients of a wrapped chunk from one sweep over the shared layer.

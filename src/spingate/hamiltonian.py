@@ -51,10 +51,6 @@ class PauliString:
             raise ValueError(f"bad Pauli letters {self.letters!r}")
 
     @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
     def weight(self) -> int:
         return sum(c != "I" for c in self.letters)
 

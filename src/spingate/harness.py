@@ -120,8 +120,10 @@ class ExperimentConfig:
         for k in self.noise_kinds:
             if k not in NOISE_KINDS:
                 raise ConfigError(f"unknown noise kind {k!r}")
-        if not all(0 <= p <= 1 for p in self.damping_grid):
-            raise ConfigError("damping grid values must lie in [0, 1]")
+        for p in self.damping_grid:
+            check_amount("damping probability", p)
+            if p > 1:
+                raise ConfigError(f"damping probability must be at most 1, got {p!r}")
         if self.damping_placement not in PLACEMENTS:
             raise ConfigError(f"unknown damping placement {self.damping_placement!r}")
         try:
@@ -292,7 +294,12 @@ class RunRecord:
     run_dir: str
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, default=_plain)
+
+
+def _plain(value):
+    """A numpy scalar as its Python value; anything else fails as json.dumps fails."""
+    return value.item() if isinstance(value, np.generic) else json.JSONEncoder().default(value)
 
 
 def _check_output_dir(cfg: ExperimentConfig) -> None:
@@ -352,28 +359,28 @@ def _non_finite_cell(text: str) -> str | None:
 def _write_run(cfg: ExperimentConfig, results: dict, files: dict) -> RunRecord:
     """Write `files` in order, then the run's RunRecord as run_record.json.
 
-    `files` maps a file name to its text.  A non-finite float in `results`
-    or in a cell of `files` raises NumericalFailure before anything is
-    written.  The run directory is allocated here, after the compute.
+    `files` maps a file name to its text.  A non-finite float in a cell of
+    `files` or in the record raises NumericalFailure, and a record value
+    that json cannot write raises TypeError, before anything is written.
+    The run directory is allocated here, after the compute.
     """
     for name, content in files.items():
         bad = _non_finite_cell(content)
         if bad is not None:
             raise NumericalFailure(f"{name} holds the non-finite value {bad!r}")
-    try:
-        json.dumps(results, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalFailure(f"run results hold a non-finite value: {exc}") from exc
-    run_dir = _fresh_run_dir(cfg)
-    for name, content in files.items():
-        (run_dir / name).write_text(content)
     record = RunRecord(
         schema_version=SCHEMA_VERSION, experiment=cfg.kind,
         package_version=__version__, master_seed=cfg.master_seed,
         config=config_to_dict(cfg), results=results, csv_files=list(files),
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_dir=str(run_dir),
-    )
+        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), run_dir="")
+    try:
+        json.dumps(dataclasses.asdict(record), allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise NumericalFailure(f"the run record holds a non-finite value: {exc}") from exc
+    run_dir = _fresh_run_dir(cfg)
+    record.run_dir = str(run_dir)
+    for name, content in files.items():
+        (run_dir / name).write_text(content)
     (run_dir / "run_record.json").write_text(record.to_json() + "\n")
     return record
 

@@ -50,6 +50,7 @@ class CoherentNoise:
         if self.mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
         check_amount("noise amplitude", self.delta, error=NegativeAmplitude)
+        check_count("noise seed", self.seed, 0, error=ValueError)
 
     def affected_indices(self, spec: HamiltonianSpec) -> list[int]:
         if self.kind == "charge":
@@ -60,10 +61,12 @@ class CoherentNoise:
 def check_delta_grid(delta_grid) -> np.ndarray:
     """The grid as a float array.
 
-    Raises ValueError unless the grid is non-empty, non-negative and
-    strictly ascending; a NaN entry fails the test.
+    Raises ValueError unless the grid is a list of numbers, not bools, that
+    is non-empty, non-negative and strictly ascending (a NaN entry fails).
     """
     grid = np.asarray(delta_grid, dtype=float)
+    if grid.ndim != 1 or any(isinstance(d, (bool, np.bool_)) for d in delta_grid):
+        raise ValueError(f"delta grid must be a list of numbers, got {delta_grid!r}")
     if grid.size == 0 or not (np.all(grid >= 0.0) and np.all(np.diff(grid) > 0.0)):
         raise ValueError("delta grid must be non-negative and strictly ascending")
     return grid

@@ -118,6 +118,7 @@ class InitScheme:
             raise ConfigError(f"init mean and clip must be finite, got {self.mean!r}, "
                               f"{self.clip!r}")
         check_amount("init sigma", self.sigma)
+        check_count("init seed", self.seed, 0)
         if not lo <= hi:
             raise ConfigError(f"init clip interval is inverted: {self.clip!r}")
 
@@ -152,6 +153,7 @@ class OptimizerConfig:
         # a zero step gives a degenerate simplex that stops at once; the
         # parameters are angles of period 2*pi, so a step above pi means
         # nothing, and a huge one overflows the simplex moves
+        check_amount("simplex_step", self.simplex_step)
         if not 0.0 < self.simplex_step <= np.pi:
             raise ConfigError(f"simplex_step must lie in (0, pi], got {self.simplex_step!r}")
 

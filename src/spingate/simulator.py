@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzCircuit, apply_circuit, gate_matrices, layer_unitary
-from .errors import DimMismatch, OutOfRange
+from .errors import DimMismatch, OutOfRange, check_amount
 from .linalg import apply_to_qubits, dagger
 from .targets import TargetGate, elementary
 
@@ -50,8 +50,9 @@ class KrausChannel:
 
 def amplitude_damping(p: float) -> KrausChannel:
     """Decay channel |1> -> |0> with probability p; p must lie in [0, 1]."""
-    if not 0.0 <= p <= 1.0 or not np.isfinite(p):
-        raise OutOfRange(f"damping probability {p!r} outside [0, 1]")
+    check_amount("damping probability", p, error=OutOfRange)
+    if p > 1.0:
+        raise OutOfRange(f"damping probability must be at most 1, got {p!r}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
     return KrausChannel(f"amplitude-damping(p={p:g})", (k0, k1))

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spingate.ansatz import build_hva, circuit_unitary, gate_matrices, layer_products
-from spingate.cost import COST_CHUNK_ROWS, CostEvaluator, _layer_sweep
+from spingate.cost import (CENTRAL_DIFF_STEP, COST_CHUNK_ROWS, MODES, CostEvaluator,
+                           _layer_sweep)
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger, hs_overlap
@@ -559,6 +560,47 @@ def test_costs_other_modes_follow_cost(spec3, rng):
     plan = NoisyCircuitPlan(build_hva(spec3, 2), amplitude_damping(0.05))
     dens = make_eval(spec3, mode="hs-test-density", plan=plan)
     assert np.array_equal(dens.costs(stack), [dens.cost(row) for row in stack])
+
+
+def _evaluator_in(spec3, mode):
+    plan = NoisyCircuitPlan(build_hva(spec3, 2), amplitude_damping(0.05))
+    return make_eval(spec3, mode=mode, plan=plan if mode == "hs-test-density" else None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cost_is_costs_of_one_row(spec3, rng, mode):
+    """`cost` is `costs` of one row bit for bit, and `costs` checks its stack once."""
+    ev = _evaluator_in(spec3, mode)
+    theta = rng.uniform(-3 * np.pi, 3 * np.pi, 15)
+    one = ev.cost(theta)
+    assert ev.eval_count == 1
+    assert np.float64(one).tobytes() == ev.costs(theta[None])[0].tobytes()
+    checked = []
+    check = ev._check
+    ev._check = lambda thetas: checked.append(len(thetas)) or check(thetas)
+    ev.costs(rng.normal(size=(3, 15)))
+    assert checked == [3] and ev.eval_count == 5
+
+
+@pytest.mark.parametrize("mode", ["exact-trace", "hs-test-density"])
+@pytest.mark.parametrize("span", [1, 3])
+def test_central_diff_equals_the_coordinate_loop_bitwise(spec3, rng, mode, span):
+    """One `costs` call on theta +- h e_j gives the loop of single costs bit for bit,
+    for theta inside [-pi, pi] (span 1) and outside it (span 3), a -0.0 entry included."""
+    ev = _evaluator_in(spec3, mode)
+    theta = rng.uniform(-span * np.pi, span * np.pi, 15)
+    theta[4] = -0.0
+    assert (np.abs(theta) > np.pi).any() == (span > 1)
+    h = CENTRAL_DIFF_STEP
+    loop = np.empty(15)
+    for j in range(15):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        loop[j] = (ev.cost(up) - ev.cost(dn)) / (2.0 * h)
+    before = ev.eval_count
+    assert ev.gradient(theta, method="central-diff").tobytes() == loop.tobytes()
+    assert ev.eval_count - before == 30
 
 
 def test_costs_eval_count_grows_by_rows(spec3, rng):

@@ -5,11 +5,13 @@ import pytest
 
 from spingate.ansatz import build_hva
 from spingate.cost import CostEvaluator
-from spingate.errors import ConfigError, InvalidDepth, InvalidQubitCount, NegativeAmplitude
+from spingate.errors import (ConfigError, InvalidDepth, InvalidQubitCount, NegativeAmplitude,
+                             OutOfRange)
 from spingate.hamiltonian import heisenberg_spec
 from spingate.harness import MAX_DEPTH, ExperimentConfig
 from spingate.noise import CoherentNoise, perturb, robustness_sweep
 from spingate.optimize import MAX_COUNT, MAX_ITERS, InitScheme, OptimizerConfig
+from spingate.simulator import amplitude_damping
 from spingate.targets import toffoli
 
 SPEC = heisenberg_spec(3)
@@ -38,6 +40,9 @@ COUNTS = {
                 ValueError, 0, "at least 1"),
     "realization": (lambda v: perturb(np.zeros(15), SAMPLED, SPEC, realization=v), ValueError,
                     MAX_COUNT, f"at most {MAX_COUNT - 1}"),
+    "init seed": (lambda v: InitScheme(seed=v), ConfigError, -1, "at least 0"),
+    "noise seed": (lambda v: CoherentNoise(kind="charge", delta=0.1, seed=v), ValueError, -1,
+                   "at least 0"),
 }
 
 AMOUNTS = {
@@ -85,3 +90,23 @@ def test_an_amount_is_a_finite_real_at_least_zero(site, value):
 @pytest.mark.parametrize("site", AMOUNTS)
 def test_an_amount_takes_any_finite_real_at_least_zero(site, value):
     AMOUNTS[site][0](value)
+
+
+# a range check that is not a count or an amount rejects a bool too: (call, error, message)
+BOOLS_IN_RANGES = [
+    (lambda: OptimizerConfig(simplex_step=True), ConfigError,
+     "simplex_step must be finite and >= 0, got True"),
+    (lambda: ExperimentConfig(damping_grid=(True, 0.5)), ConfigError,
+     "damping probability must be finite and >= 0, got True"),
+    (lambda: ExperimentConfig(noise_grid=(0.0, True)), ConfigError,
+     r"noise grid: delta grid must be a list of numbers, got \(0.0, True\)"),
+    (lambda: amplitude_damping(True), OutOfRange,
+     "damping probability must be finite and >= 0, got True"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BOOLS_IN_RANGES)
+def test_a_range_check_rejects_a_bool(call, error, message):
+    with pytest.raises(error, match=f"^{message}$") as info:
+        call()
+    assert info.type is error

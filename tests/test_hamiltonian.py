@@ -97,8 +97,9 @@ def test_assemble_is_linear(spec3, rng):
 
 
 def test_assemble_length_check(spec3):
-    with pytest.raises(LengthMismatch):
-        assemble(spec3, np.zeros(14))
+    for call in (assemble, format_parameters):
+        with pytest.raises(LengthMismatch):
+            call(spec3, np.zeros(14))
 
 
 def test_wrap_angles_idempotent_bitwise(rng):
@@ -141,6 +142,8 @@ def test_parse_rejects_malformed(spec3):
         parse_parameters(swapped, spec3)
     with pytest.raises(ValueError):
         parse_parameters(good + "\nX1 0 0.0", spec3)  # duplicate index
+    with pytest.raises(ValueError, match="malformed parameter line 'X1 0'"):
+        parse_parameters("X1 0\n" + good, spec3)  # a value short
 
 
 def test_parse_skips_comments_and_blanks(spec3):

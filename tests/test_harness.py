@@ -214,9 +214,11 @@ class TestLoadConfig:
 
     def test_unparseable_value(self, tmp_path):
         p = tmp_path / "bad.ini"
-        p.write_text("[experiment]\nmaster_seed = ten\n")
-        with pytest.raises(ConfigError, match="cannot parse"):
-            load_config(p)
+        # a value that does not parse, and a key before any section
+        for text in ("[experiment]\nmaster_seed = ten\n", "master_seed = 3\n[experiment]\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError, match="cannot parse"):
+                load_config(p)
 
     def test_bad_bool(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -504,12 +506,65 @@ def test_run_trotter_sweep_expands_single_depth(tmp_path):
     ({}, {"a.csv": "m,mean\n1,0.5\n2,nan\n"}),
     ({}, {"a.csv": "kind,delta\ncharge,-inf\n"}),
     ({}, {"params.txt": "X1 0 inf\n"}),
+    ({}, {"params.txt": "X1 0 0.5\nY1 1 -inf"}),  # the last line has no newline
 ])
 def test_write_run_refuses_non_finite_values(tmp_path, results, files):
     cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
     with pytest.raises(NumericalFailure, match="non-finite"):
         _write_run(cfg, results, files)
     assert not (tmp_path / "out").exists()
+
+
+def test_write_run_that_cannot_write_its_record_makes_no_directory(tmp_path):
+    for where in ("results", "config"):
+        cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
+        results = {"best_cost": 0.5}
+        if where == "results":
+            results["theta"] = object()
+        else:
+            cfg.target = object()  # set past the config checks
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_run(cfg, results, {"a.csv": "m,mean\n1,0.5\n"})
+        assert not (tmp_path / "out").exists(), where
+
+
+def test_numpy_scalars_in_the_config_write_the_outputs_of_python_ones(tmp_path):
+    outputs = []
+    for seed, restarts in ((3, 2), (np.int64(3), np.int64(2))):
+        out = tmp_path / type(seed).__name__
+        cfg = ExperimentConfig(kind="compile", m=(1,), master_seed=seed, output_dir=str(out),
+                               optimizer=tiny_optimizer(restarts=restarts))
+        run_dir = out / run_experiment(cfg).run_dir.split("/")[-1]
+        record = json.loads((run_dir / "run_record.json").read_text())
+        del record["created_utc"], record["run_dir"], record["config"]["output_dir"]
+        curve = [line.rsplit(",", 1)[0]  # the wall-clock column aside
+                 for line in (run_dir / "training_curve.csv").read_text().splitlines()]
+        outputs.append((record, curve, (run_dir / "parameter_trajectory.csv").read_text(),
+                        (run_dir / "final_parameters.txt").read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0]["results"]["restart_seeds"] == [[3, 0], [3, 1]]
+
+
+def _one_vector_call(self, *args, **kwargs):
+    raise AssertionError("a run called CostEvaluator.cost or CostEvaluator.gradient")
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("compile", {}),
+    ("trotter-sweep", {"m": (2,)}),
+    ("coherent-noise-sweep", {"noise_mode": "uniform-sample", "noise_samples": 3,
+                              "noise_grid": (0.0, 0.05)}),
+    *[("damping-sweep", {"damping_grid": (0.0, 0.02), "damping_restarts": 2,
+                         "damping_placement": placement}) for placement in PLACEMENTS],
+    ("grad-stats", {"m": (2,), "grad_samples": 3}),
+])
+def test_runs_ask_only_for_stacked_costs_and_gradients(tmp_path, monkeypatch, kind, fields):
+    """Every run goes through `costs` and `gradients`, never the one-vector methods."""
+    monkeypatch.setattr(CostEvaluator, "cost", _one_vector_call)
+    monkeypatch.setattr(CostEvaluator, "gradient", _one_vector_call)
+    cfg = ExperimentConfig(kind=kind, **{"m": (1,), **fields}, output_dir=str(tmp_path),
+                           optimizer=tiny_optimizer(max_iters=4))
+    run_experiment(cfg)
 
 
 def test_write_run_keeps_labels_that_hold_an_n(tmp_path):
@@ -659,14 +714,14 @@ def test_run_damping_sweep_names_the_failing_retraining(tmp_path, monkeypatch):
         damping_grid=(0.01,), damping_restarts=2, warm_start=False)
     # cold starts do not depend on the compiled parameters
     start = _damping_inits(cfg, None, 0, 15)[1]
-    density_cost = CostEvaluator.cost
+    density_cost = CostEvaluator._density_cost
 
     def nan_at_second_start(self, theta):
-        if self.mode == "hs-test-density" and np.array_equal(theta, start):
+        if np.array_equal(theta, start):
             return float("nan")
         return density_cost(self, theta)
 
-    monkeypatch.setattr(CostEvaluator, "cost", nan_at_second_start)
+    monkeypatch.setattr(CostEvaluator, "_density_cost", nan_at_second_start)
     with pytest.raises(NumericalFailure,
                        match=r"damping p=0\.01 \(grid point 0\): restart 1: the cost is not finite"):
         run_damping_sweep(cfg)

@@ -454,15 +454,11 @@ def test_nelder_mead_lockstep_matches_one_at_a_time(small_evaluator):
 
 
 class _StackSizes(CostEvaluator):
-    """Records the row count of every `costs` call, and 1 for every `cost` call."""
+    """Records the row count of every `costs` call; a `cost` call is one of one row."""
 
     def costs(self, thetas):
         self.rows.append(len(thetas))
         return super().costs(thetas)
-
-    def cost(self, theta):
-        self.rows.append(1)
-        return super().cost(theta)
 
 
 def test_lockstep_stacked_directions_match_one_at_a_time(small_evaluator, monkeypatch):

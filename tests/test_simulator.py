@@ -11,7 +11,7 @@ from spingate.simulator import (KrausChannel, NoisyCircuitPlan,
                                 _channel_on_qubits, amplitude_damping,
                                 bell_prep_state, evolve_density,
                                 hs_test_probability, readout_vector)
-from spingate.targets import toffoli
+from spingate.targets import TargetGate, elementary, toffoli
 
 
 def random_density(rng, d):
@@ -175,6 +175,12 @@ def test_hs_test_probability_density_route_noiseless(spec3, rng):
     pure = hs_test_probability(c, theta, target)
     noisy = hs_test_probability(c, theta, target, plan=plan)
     assert abs(pure - noisy) < 1e-10
+
+
+def test_hs_test_probability_rejects_a_target_on_other_qubits(spec3):
+    with pytest.raises(DimMismatch, match="target acts on 2 qubits, circuit on 3"):
+        hs_test_probability(build_hva(spec3, 1), np.zeros(15),
+                            TargetGate("cnot", elementary("CNOT")))
 
 
 def test_hs_test_probability_rejects_a_plan_on_another_circuit(spec3):
