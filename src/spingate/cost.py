@@ -18,8 +18,10 @@ after each layer, (step(G_(Q-1)) ... step(G_0))^m after each gate and
 step(L^m) for final-only: one product of unit steps from one
 `layer_products` call, repeated.  The literal density evolution in the
 simulator module is its test oracle.
-A noise plan must be built on the evaluator's circuit or an equal one;
-any other plan raises DimMismatch, as `hs_test_probability` does.
+The plan chooses the route: "hs-test-density" with a noise plan and
+"exact-trace" without one by default; an explicit mode must agree
+(ValueError), so no plan is dropped.  The plan must be built on the
+evaluator's circuit or an equal one, else DimMismatch, as in `hs_test_probability`.
 
 Parameters are angles with period 2*pi; every evaluation canonically wraps
 its input first, so wrapping a vector never changes its cost, bit for bit.
@@ -30,8 +32,7 @@ single-vector cost bit for bit.  In exact-trace mode `costs` powers the
 layer of `layer_products` over chunks of rows (one-row and all-equal
 chunks stay d x d and give one value) from one `layer_head` per stack.
 
-Every mode has two gradients: a central finite difference (one `costs`
-call on the 2Q rows theta +- h e_j) and an adjoint-style sweep over
+Every mode has one gradient, an adjoint-style sweep over
 `ansatz.layer_products` (the layer's factors and prefixes) and O(m)
 `layer_powers`.  The sweep's traces Tr(P_j F_j B_j) sum over each Pauli
 string's nonzeros only, one per row (`HamiltonianSpec.nonzeros`), which
@@ -41,9 +42,8 @@ mode reduces the real environment of its superoperators through the
 Kraus stack to a complex 8x8 environment of the layer and feeds the
 sweep that.  `gradients` runs the noiseless sweep over a (B, Q) stack,
 COST_CHUNK_ROWS rows per broadcast call, and the density gradient row by
-row (stacked 64x64 rows run slower); the adjoint `gradient` is its
-one-row case, so every row's gradient equals the single-vector gradient
-bit for bit.
+row (stacked 64x64 rows run slower); `gradient` is its one-row case, so
+every row's gradient equals the single-vector gradient bit for bit.
 Optimizers ask for gradients where they have just costed, so the
 evaluator keeps one record, the forward pass of its last cost kernel
 call: an exact-trace chunk (at most COST_CHUNK_ROWS rows) or one density
@@ -68,7 +68,6 @@ from .targets import TargetGate
 
 MODES = ("exact-trace", "hs-test-statevector", "hs-test-density")
 
-CENTRAL_DIFF_STEP = 1e-6
 # rows per stacked exact-trace evaluation: bounds the (rows, Q, d, d)
 # factor stacks that `costs` and `gradients` hold at once.  32 rows ran
 # the sampled noise sweep a few percent faster but raised its peak memory.
@@ -77,23 +76,26 @@ COST_CHUNK_ROWS = 16
 
 @dataclass
 class CostEvaluator:
-    """Cost C(theta) for one circuit/target pair in a fixed evaluation mode."""
+    """Cost C(theta) for one circuit/target pair; a noise plan selects the density mode."""
 
     circuit: AnsatzCircuit
     target: TargetGate
-    mode: str = "exact-trace"
+    mode: str | None = None
     plan: NoisyCircuitPlan | None = None
     eval_count: int = field(default=0, init=False)
 
     def __post_init__(self):
+        noisy = self.plan is not None
+        if self.mode is None:
+            self.mode = "hs-test-density" if noisy else "exact-trace"
         if self.mode not in MODES:
             raise ValueError(f"unknown cost mode {self.mode!r}")
+        if (self.mode == "hs-test-density") != noisy:
+            raise ValueError(f"{self.mode} mode {'takes no' if noisy else 'needs a'} noise plan")
         if self.target.n != self.circuit.n:
             raise DimMismatch("target and circuit act on different qubit counts")
         self._v_dag = self.target.matrix.conj().T
-        if self.mode == "hs-test-density":
-            if self.plan is None:
-                raise ValueError("hs-test-density mode needs a noise plan")
+        if noisy:
             if self.plan.circuit != self.circuit:
                 raise DimMismatch("the noise plan is built on another circuit")
             self._prepare_density_fastpath()
@@ -216,20 +218,9 @@ class CostEvaluator:
             return self._forward(thetas, self.circuit.m), None
         return forward, index
 
-    def fidelity(self, theta: np.ndarray) -> float:
-        return 1.0 - self.cost(theta)
-
-    def gradient(self, theta: np.ndarray, method: str = "adjoint") -> np.ndarray:
-        """dC/dtheta by the adjoint sweep (`gradients` of one row) or by central
-        differences, (C(theta + h e_j) - C(theta - h e_j)) / 2h from one `costs` call."""
-        theta = np.asarray(theta, dtype=float)[None]
-        if method == "adjoint":
-            return self.gradients(theta)[0]
-        if method != "central-diff":
-            raise ValueError(f"unknown gradient method {method!r}")
-        shifts = CENTRAL_DIFF_STEP * np.eye(theta.shape[-1])
-        c = self.costs(np.concatenate([theta + shifts, theta - shifts]))
-        return (c[:len(shifts)] - c[len(shifts):]) / (2.0 * CENTRAL_DIFF_STEP)
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """dC/dtheta by the adjoint sweep, `gradients` of one row."""
+        return self.gradients(np.asarray(theta, dtype=float)[None])[0]
 
     def gradients(self, thetas: np.ndarray) -> np.ndarray:
         """Adjoint gradients of a (B, Q) stack, row r equal to gradient(thetas[r]) bit for bit.

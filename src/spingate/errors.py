@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the two checks of counts and amounts."""
+"""Exception types shared across the package, and the checks of counts, amounts and reals."""
 
 import math
 import numbers
@@ -66,3 +66,9 @@ def check_amount(name: str, value, error=ConfigError) -> None:
     """Raise `error` unless value is a finite real number >= 0 (a numpy one too, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
         raise error(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_real(name: str, value, error=ConfigError) -> None:
+    """Raise `error` unless value is a finite real number (a numpy one too, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite real number, got {value!r}")

@@ -65,6 +65,16 @@ GRID_STOP_TOLERANCE = 1e-9
 # a depth such as 10**9 would hang a compile or a trotter sweep's range
 MAX_DEPTH = 100
 
+# ExperimentConfig fields that are not counts or amounts, by type: the
+# INI parser yields these types, so only API callers can pass others
+_FIELD_TYPES = (
+    (("kind", "target", "output_dir", "noise_mode", "damping_placement"), str, "a string"),
+    (("m", "noise_kinds", "noise_grid", "damping_grid"), (tuple, list), "a tuple or list"),
+    (("warm_start",), (bool, np.bool_), "a bool"),
+    (("optimizer",), OptimizerConfig, "an OptimizerConfig"),
+    (("init",), InitScheme, "an InitScheme"),
+)
+
 # Four independent stream labels keep the restart draws, the noise
 # realizations, the damping warm kicks, and the grad-stats inits from
 # ever colliding under one master seed.
@@ -96,6 +106,11 @@ class ExperimentConfig:
     grad_samples: int = 100
 
     def __post_init__(self):
+        for names, types, what in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, types):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.m:
@@ -106,10 +121,6 @@ class ExperimentConfig:
         for name in ("noise_samples", "damping_restarts", "grad_samples"):
             check_count(name, getattr(self, name), 1, MAX_COUNT)
         check_amount("warm_sigma", self.warm_sigma)
-        for name in ("m", "noise_kinds", "damping_grid"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} holds duplicate entries: {values!r}")
         # an empty sweep list leaves nothing to run after the compile; other
         # kinds ignore the list, so a compile config may leave it empty
         swept = {"coherent-noise-sweep": "noise_kinds", "damping-sweep": "damping_grid"}
@@ -124,6 +135,11 @@ class ExperimentConfig:
             check_amount("damping probability", p)
             if p > 1:
                 raise ConfigError(f"damping probability must be at most 1, got {p!r}")
+        # after the entry checks, so every entry is hashable
+        for name in ("m", "noise_kinds", "damping_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} holds duplicate entries: {values!r}")
         if self.damping_placement not in PLACEMENTS:
             raise ConfigError(f"unknown damping placement {self.damping_placement!r}")
         try:
@@ -562,8 +578,7 @@ def run_damping_sweep(cfg: ExperimentConfig) -> RunRecord:
     for gi, p in enumerate(cfg.damping_grid):
         plan = NoisyCircuitPlan(circuit=circuit, channel=amplitude_damping(float(p)),
                                 placement=cfg.damping_placement)
-        evaluator = CostEvaluator(circuit, noiseless.target, mode="hs-test-density",
-                                  plan=plan)
+        evaluator = CostEvaluator(circuit, noiseless.target, plan=plan)
         inits = _damping_inits(cfg, summary.best.final_theta, gi, circuit.q)
         try:
             traces = retrain(evaluator, inits, cfg.optimizer)

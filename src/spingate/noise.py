@@ -62,13 +62,14 @@ def check_delta_grid(delta_grid) -> np.ndarray:
     """The grid as a float array.
 
     Raises ValueError unless the grid is a list of numbers, not bools, that
-    is non-empty, non-negative and strictly ascending (a NaN entry fails).
+    is non-empty, finite, non-negative and strictly ascending.
     """
     grid = np.asarray(delta_grid, dtype=float)
     if grid.ndim != 1 or any(isinstance(d, (bool, np.bool_)) for d in delta_grid):
         raise ValueError(f"delta grid must be a list of numbers, got {delta_grid!r}")
-    if grid.size == 0 or not (np.all(grid >= 0.0) and np.all(np.diff(grid) > 0.0)):
-        raise ValueError("delta grid must be non-negative and strictly ascending")
+    if grid.size == 0 or not (np.isfinite(grid).all() and (grid >= 0.0).all()
+                              and (np.diff(grid) > 0.0).all()):
+        raise ValueError("delta grid must be finite, non-negative and strictly ascending")
     return grid
 
 
@@ -113,7 +114,7 @@ def robustness_sweep(evaluator: CostEvaluator, theta_star: np.ndarray,
     samples}.  Deterministic mode needs a single evaluation per point;
     sampled mode averages `samples` realizations with per-point derived
     seeds.  Each point's realizations are evaluated as one stack.  The
-    grid must be non-negative and strictly ascending, and `samples` must
+    grid must be finite, non-negative and strictly ascending, and `samples` must
     be an integer in [1, MAX_COUNT] in either mode (ValueError otherwise).
     """
     check_count("samples", samples, 1, MAX_COUNT, error=ValueError)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, check_amount, check_count
+from .errors import ConfigError, NumericalFailure, check_amount, check_count, check_real
 from .hamiltonian import wrap_angles
 from .seeding import derive_rng
 
@@ -113,10 +113,11 @@ class InitScheme:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.clip, (tuple, list)) or len(self.clip) != 2:
+            raise ConfigError(f"init clip must be a pair, got {self.clip!r}")
         lo, hi = self.clip
-        if not np.isfinite([self.mean, lo, hi]).all():
-            raise ConfigError(f"init mean and clip must be finite, got {self.mean!r}, "
-                              f"{self.clip!r}")
+        for name, value in (("mean", self.mean), ("clip_low", lo), ("clip_high", hi)):
+            check_real(f"init {name}", value)
         check_amount("init sigma", self.sigma)
         check_count("init seed", self.seed, 0)
         if not lo <= hi:
@@ -142,7 +143,7 @@ class OptimizerConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        if self.algorithm not in DEFAULT_MAX_ITERS:
+        if not isinstance(self.algorithm, str) or self.algorithm not in DEFAULT_MAX_ITERS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         check_count("restarts", self.restarts, 1, MAX_COUNT)
         check_count("history_size", self.history_size, 1, MAX_ITERS)

@@ -25,3 +25,20 @@ def random_channel(rng):
         a = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
         return KrausChannel(f"random(k={k})", tuple(np.linalg.qr(a)[0].reshape(k, 2, 2)))
     return make
+
+
+CENTRAL_DIFF_STEP = 1e-6
+
+
+@pytest.fixture(scope="session")
+def central_diff():
+    """central_diff(evaluator, theta): the central-difference gradient, the test
+    oracle of `CostEvaluator.gradient`.  (C(theta + h e_j) - C(theta - h e_j)) / 2h
+    from one `costs` call on the 2Q rows theta +- h e_j; `central_diff.step` is h."""
+    def gradient(evaluator, theta):
+        theta = np.asarray(theta, dtype=float)[None]
+        shifts = CENTRAL_DIFF_STEP * np.eye(theta.shape[-1])
+        c = evaluator.costs(np.concatenate([theta + shifts, theta - shifts]))
+        return (c[:len(shifts)] - c[len(shifts):]) / (2.0 * CENTRAL_DIFF_STEP)
+    gradient.step = CENTRAL_DIFF_STEP
+    return gradient

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from spingate import cli, harness
 from spingate.cli import main
-from spingate.errors import NumericalFailure
+from spingate.errors import ConfigError, NumericalFailure
 from spingate.harness import _SCHEMA, MAX_DEPTH, MAX_QUBITS
 from spingate.optimize import MAX_COUNT, MAX_ITERS
 
@@ -337,6 +338,22 @@ def test_output_path_under_a_file_exits_2_before_compiling(tmp_path, capsys, no_
     assert main(["compile", "--m", "6", "--restarts", "10", "--out", str(out)]) == 2
     assert "is not a directory" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_output_path_in_a_read_only_directory_exits_2_before_compiling(
+        tmp_path, capsys, monkeypatch, no_compile, sub):
+    # os.access is true for root on any path, so the test denies write access itself
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    monkeypatch.setattr(harness.os, "access", lambda path, mode, **kw: Path(path) != locked)
+    out = locked / sub if sub else locked
+    message = f"{str(locked)!r} is not writable"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        harness.run_experiment(harness.ExperimentConfig(m=(1,), output_dir=str(out)))
+    assert main(["compile", "--m", "6", "--restarts", "10", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(locked.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid", ["0.1, 0.05", "-0.1, 0.0", "0, 0.05, 0.05"])

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spingate.ansatz import build_hva, circuit_unitary, gate_matrices, layer_products
-from spingate.cost import (CENTRAL_DIFF_STEP, COST_CHUNK_ROWS, MODES, CostEvaluator,
-                           _layer_sweep)
+from spingate import cost as cost_module
+from spingate.cost import COST_CHUNK_ROWS, MODES, CostEvaluator, _layer_sweep
 from spingate.errors import DimMismatch, LengthMismatch, NumericalFailure
 from spingate.hamiltonian import heisenberg_spec, wrap_angles
 from spingate.linalg import dagger, hs_overlap
@@ -21,7 +21,7 @@ from spingate.simulator import (PLACEMENTS, KrausChannel, NoisyCircuitPlan,
 from spingate.targets import TargetGate, fredkin, toffoli
 
 
-def make_eval(spec3, m=2, mode="exact-trace", target=None, plan=None):
+def make_eval(spec3, m=2, mode=None, target=None, plan=None):
     c = build_hva(spec3, m)
     return CostEvaluator(c, target or toffoli(), mode=mode, plan=plan)
 
@@ -41,7 +41,7 @@ def test_cost_range_and_fidelity(spec3, rng):
         theta = rng.normal(size=15)
         cval = ev.cost(theta)
         assert 0.0 <= cval <= 1.0
-        assert ev.fidelity(theta) == pytest.approx(1.0 - cval, abs=1e-15)
+    assert not hasattr(ev, "fidelity")  # the fidelity is 1 - cost; no wrapper
 
 
 def test_modes_agree_noiseless(spec3, rng):
@@ -121,22 +121,24 @@ def test_cost_wrap_invariance_bitwise(spec3, rng):
         assert ev.cost(theta) == ev.cost(wrap_angles(theta))
 
 
-def test_eval_count_increments(spec3, rng):
+def test_eval_count_increments(spec3, rng, central_diff):
     ev = make_eval(spec3)
     assert ev.eval_count == 0
     ev.cost(rng.normal(size=15))
     ev.cost(rng.normal(size=15))
     assert ev.eval_count == 2
-    ev.gradient(rng.normal(size=15), method="central-diff")
+    central_diff(ev, rng.normal(size=15))
     assert ev.eval_count == 2 + 30  # 2Q extra cost calls
+    ev.gradient(rng.normal(size=15))
+    assert ev.eval_count == 32  # the adjoint gradient costs nothing
 
 
-def test_adjoint_gradient_matches_central_diff(spec3, rng):
+def test_adjoint_gradient_matches_central_diff(spec3, rng, central_diff):
     ev = make_eval(spec3, m=3)
     for _ in range(5):
         theta = rng.normal(size=15)
-        adj = ev.gradient(theta, method="adjoint")
-        fd = ev.gradient(theta, method="central-diff")
+        adj = ev.gradient(theta)
+        fd = central_diff(ev, theta)
         assert np.max(np.abs(adj - fd)) < 1e-6
 
 
@@ -163,8 +165,10 @@ def test_gradient_checks(spec3, rng):
     with pytest.raises(NumericalFailure):
         noisy.gradient(np.full(15, np.inf))
     ev = make_eval(spec3)
-    with pytest.raises(ValueError):
-        ev.gradient(np.zeros(15), method="forward")
+    for method in ("adjoint", "central-diff", "forward"):  # one gradient: no method knob
+        with pytest.raises(TypeError):
+            ev.gradient(np.zeros(15), method=method)
+    assert not hasattr(cost_module, "CENTRAL_DIFF_STEP")
     with pytest.raises(LengthMismatch):
         ev.cost(np.zeros(16))
     for bad in (np.zeros(15), np.zeros((3, 16))):
@@ -177,7 +181,8 @@ def test_gradient_checks(spec3, rng):
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
-def test_density_gradient_matches_central_diff(spec3, rng, random_channel, placement):
+def test_density_gradient_matches_central_diff(spec3, rng, random_channel, central_diff,
+                                               placement):
     worst = 0.0
     for target in (toffoli(), fredkin()):
         for m in (1, 2, 6):
@@ -186,8 +191,7 @@ def test_density_gradient_matches_central_diff(spec3, rng, random_channel, place
                 plan = NoisyCircuitPlan(c, channel, placement)
                 ev = CostEvaluator(c, target, mode="hs-test-density", plan=plan)
                 theta = rng.normal(size=15)
-                gap = np.max(np.abs(ev.gradient(theta)
-                                    - ev.gradient(theta, method="central-diff")))
+                gap = np.max(np.abs(ev.gradient(theta) - central_diff(ev, theta)))
                 worst = max(worst, gap)
     assert worst < 1e-6
 
@@ -209,8 +213,13 @@ def test_evaluator_validation(spec3):
     c = build_hva(spec3, 1)
     with pytest.raises(ValueError):
         CostEvaluator(c, toffoli(), mode="guess")
-    with pytest.raises(ValueError):
-        CostEvaluator(c, toffoli(), mode="hs-test-density")  # plan required
+    with pytest.raises(ValueError, match="^hs-test-density mode needs a noise plan$"):
+        CostEvaluator(c, toffoli(), mode="hs-test-density")
+    plan = NoisyCircuitPlan(c, amplitude_damping(0.3))
+    for mode in ("exact-trace", "hs-test-statevector"):  # the plan is never dropped
+        with pytest.raises(ValueError, match=f"^{mode} mode takes no noise plan$"):
+            CostEvaluator(c, toffoli(), mode=mode, plan=plan)
+    assert CostEvaluator(c, toffoli()).mode == "exact-trace"
     two_site = heisenberg_spec(2)
     with pytest.raises(DimMismatch):
         CostEvaluator(build_hva(two_site, 1), toffoli())
@@ -222,6 +231,21 @@ def test_evaluator_rejects_a_plan_on_another_circuit(spec3):
         plan = NoisyCircuitPlan(other, amplitude_damping(0.05))
         with pytest.raises(DimMismatch):
             CostEvaluator(c, toffoli(), mode="hs-test-density", plan=plan)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_plan_selects_the_density_route(spec3, placement):
+    """With a plan and no mode, the evaluator is the density evaluator, bit for bit."""
+    c = build_hva(spec3, 2)
+    plan = NoisyCircuitPlan(c, amplitude_damping(0.3), placement)
+    chosen = CostEvaluator(c, toffoli(), plan=plan)
+    density = CostEvaluator(c, toffoli(), mode="hs-test-density", plan=plan)
+    assert chosen.mode == "hs-test-density"
+    stack = np.stack([np.linspace(-1.0, 1.0, 15), np.linspace(2.0, -5.0, 15)])
+    assert chosen.costs(stack).tobytes() == density.costs(stack).tobytes()
+    assert chosen.gradients(stack).tobytes() == density.gradients(stack).tobytes()
+    # the plan is not dropped: the noiseless cost is another number
+    assert abs(chosen.costs(stack) - CostEvaluator(c, toffoli()).costs(stack)).min() > 1e-3
 
 
 def test_cost_against_raw_trace(spec3, rng):
@@ -429,7 +453,8 @@ def test_gradients_never_read_a_stale_record(spec3, rng, mode):
     plan = NoisyCircuitPlan(circuit, amplitude_damping(0.05), "after-each-gate")
 
     def make():
-        return CostEvaluator(circuit, toffoli(), mode=mode, plan=plan)
+        return CostEvaluator(circuit, toffoli(), mode=mode,
+                             plan=plan if mode == "hs-test-density" else None)
 
     ev, fresh = make(), make()
     first, last, other = (rng.uniform(-np.pi, np.pi, size=(4, 15)) for _ in range(3))
@@ -451,7 +476,8 @@ def test_repeated_costs_hold_one_record(spec3, rng, mode):
     """
     circuit = build_hva(spec3, 2)
     plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01))
-    ev = CostEvaluator(circuit, toffoli(), mode=mode, plan=plan)
+    ev = CostEvaluator(circuit, toffoli(), mode=mode,
+                       plan=plan if mode == "hs-test-density" else None)
     thetas = rng.uniform(-np.pi, np.pi, size=(501, 15))
     ev.cost(thetas[0])  # builds the cached factor tables before tracing starts
     tracemalloc.start()
@@ -509,7 +535,8 @@ def test_a_cost_call_drops_the_old_record_before_building_the_new(spec3, rng, mo
     peak stays well under one record above the memory it started with."""
     circuit = build_hva(spec3, 6)
     plan = NoisyCircuitPlan(circuit, amplitude_damping(0.01), "after-each-gate")
-    ev = CostEvaluator(circuit, toffoli(), mode=mode, plan=plan)
+    ev = CostEvaluator(circuit, toffoli(), mode=mode,
+                       plan=plan if mode == "hs-test-density" else None)
     rows = COST_CHUNK_ROWS if mode == "exact-trace" else 1  # the largest record of each mode
     ev.costs(rng.uniform(-np.pi, np.pi, size=(rows, 15)))
     tracemalloc.start()
@@ -584,14 +611,14 @@ def test_cost_is_costs_of_one_row(spec3, rng, mode):
 
 @pytest.mark.parametrize("mode", ["exact-trace", "hs-test-density"])
 @pytest.mark.parametrize("span", [1, 3])
-def test_central_diff_equals_the_coordinate_loop_bitwise(spec3, rng, mode, span):
+def test_central_diff_equals_the_coordinate_loop_bitwise(spec3, rng, central_diff, mode, span):
     """One `costs` call on theta +- h e_j gives the loop of single costs bit for bit,
     for theta inside [-pi, pi] (span 1) and outside it (span 3), a -0.0 entry included."""
     ev = _evaluator_in(spec3, mode)
     theta = rng.uniform(-span * np.pi, span * np.pi, 15)
     theta[4] = -0.0
     assert (np.abs(theta) > np.pi).any() == (span > 1)
-    h = CENTRAL_DIFF_STEP
+    h = central_diff.step
     loop = np.empty(15)
     for j in range(15):
         up, dn = theta.copy(), theta.copy()
@@ -599,7 +626,7 @@ def test_central_diff_equals_the_coordinate_loop_bitwise(spec3, rng, mode, span)
         dn[j] -= h
         loop[j] = (ev.cost(up) - ev.cost(dn)) / (2.0 * h)
     before = ev.eval_count
-    assert ev.gradient(theta, method="central-diff").tobytes() == loop.tobytes()
+    assert central_diff(ev, theta).tobytes() == loop.tobytes()
     assert ev.eval_count - before == 30
 
 
@@ -640,12 +667,12 @@ def test_costs_rejects_non_finite_parameters(spec3, bad):
 
 @pytest.mark.parametrize("method", ["adjoint", "central-diff"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_gradient_rejects_non_finite_parameters(spec3, method, bad):
+def test_gradient_rejects_non_finite_parameters(spec3, central_diff, method, bad):
     ev = make_eval(spec3)
     theta = np.zeros(15)
     theta[3] = bad
     with pytest.raises(NumericalFailure):
-        ev.gradient(theta, method=method)
+        ev.gradient(theta) if method == "adjoint" else central_diff(ev, theta)
 
 
 def test_exact_costs_read_out_the_public_overlap_bitwise():

@@ -110,3 +110,68 @@ def test_a_range_check_rejects_a_bool(call, error, message):
     with pytest.raises(error, match=f"^{message}$") as info:
         call()
     assert info.type is error
+
+
+GRID_RULE = "delta grid must be finite, non-negative and strictly ascending"
+
+# an API input the INI parser cannot yield fails at construction with its
+# site's error, before any compile: (call, error, message)
+WRONG_INPUTS = {
+    "infinite noise grid": (
+        lambda: ExperimentConfig(kind="coherent-noise-sweep", m=(1,),
+                                 noise_grid=(0.0, float("inf"))),
+        ConfigError, f"noise grid: {GRID_RULE}"),
+    "infinite sweep grid": (
+        lambda: robustness_sweep(CostEvaluator(build_hva(SPEC, 1), toffoli()), np.zeros(15),
+                                 "charge", [0.0, float("inf")]),
+        ValueError, GRID_RULE),
+    "warm_start": (lambda: ExperimentConfig(warm_start="no"), ConfigError,
+                   "warm_start must be a bool, got 'no'"),
+    "kind": (lambda: ExperimentConfig(kind=["compile"]), ConfigError,
+             r"kind must be a string, got \['compile'\]"),
+    "target": (lambda: ExperimentConfig(target=3), ConfigError, "target must be a string, got 3"),
+    "output_dir": (lambda: ExperimentConfig(output_dir=5), ConfigError,
+                   "output_dir must be a string, got 5"),
+    "m": (lambda: ExperimentConfig(m=6), ConfigError, "m must be a tuple or list, got 6"),
+    "noise_kinds": (lambda: ExperimentConfig(noise_kinds="charge"), ConfigError,
+                    "noise_kinds must be a tuple or list, got 'charge'"),
+    "noise_grid": (lambda: ExperimentConfig(noise_grid=0.1), ConfigError,
+                   "noise_grid must be a tuple or list, got 0.1"),
+    "damping_grid": (lambda: ExperimentConfig(damping_grid=0.5), ConfigError,
+                     "damping_grid must be a tuple or list, got 0.5"),
+    "noise kind": (lambda: ExperimentConfig(noise_kinds=[["charge"]]), ConfigError,
+                   r"unknown noise kind \['charge'\]"),
+    "damping probability": (lambda: ExperimentConfig(damping_grid=[[0.1]]), ConfigError,
+                            r"damping probability must be finite and >= 0, got \[0.1\]"),
+    "optimizer": (lambda: ExperimentConfig(optimizer=None), ConfigError,
+                  "optimizer must be an OptimizerConfig, got None"),
+    "init": (lambda: ExperimentConfig(init=None), ConfigError,
+             "init must be an InitScheme, got None"),
+    "algorithm": (lambda: OptimizerConfig(algorithm=["lbfgs"]), ConfigError,
+                  r"unknown algorithm \['lbfgs'\]"),
+    "init mean": (lambda: InitScheme(mean=True), ConfigError,
+                  "init mean must be a finite real number, got True"),
+    "init clip_low": (lambda: InitScheme(clip=(True, 1.0)), ConfigError,
+                      "init clip_low must be a finite real number, got True"),
+    "init clip_high": (lambda: InitScheme(clip=(-1.0, "1")), ConfigError,
+                       "init clip_high must be a finite real number, got '1'"),
+    "init clip scalar": (lambda: InitScheme(clip=0.5), ConfigError,
+                         "init clip must be a pair, got 0.5"),
+    "init clip triple": (lambda: InitScheme(clip=(0, 1, 2)), ConfigError,
+                         r"init clip must be a pair, got \(0, 1, 2\)"),
+}
+
+
+@pytest.mark.parametrize("site", WRONG_INPUTS)
+def test_a_wrong_api_input_fails_at_construction(site):
+    call, error, message = WRONG_INPUTS[site]
+    with pytest.raises(error, match=f"^{message}$") as info:
+        call()
+    assert info.type is error
+
+
+def test_lists_stay_accepted():
+    cfg = ExperimentConfig(m=[6], noise_kinds=["charge"], noise_grid=[0.0, 0.1],
+                           damping_grid=[0.01], warm_start=np.bool_(False))
+    assert cfg.m == [6] and not cfg.warm_start
+    assert InitScheme(mean=np.float64(0.5), clip=[0, 1]).clip == [0, 1]

@@ -83,7 +83,7 @@ def test_robustness_sweep_deterministic_mode(cheap_eval, rng):
     assert rows[0]["samples"] == 1
     # the zero point is just the unperturbed fidelity
     assert rows[0]["mean_fidelity"] == pytest.approx(
-        cheap_eval.fidelity(theta), abs=1e-15)
+        1.0 - cheap_eval.cost(theta), abs=1e-15)
 
 
 def test_robustness_sweep_sampled_mode(cheap_eval, rng):

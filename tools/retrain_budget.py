@@ -71,7 +71,7 @@ def simplex_iters(length: int):
 
 def retrain_at(circuit, target, plan, starts, cfg, length) -> tuple[np.ndarray, int, float]:
     """Final costs, density cost evaluations and seconds of one re-training batch."""
-    density = CostEvaluator(circuit, target, mode="hs-test-density", plan=plan)
+    density = CostEvaluator(circuit, target, plan=plan)
     with simplex_iters(length):
         start = time.perf_counter()
         traces = optimize.retrain(density, starts, cfg.optimizer)
